@@ -209,11 +209,6 @@ def synthetic_fields(R, S, dx, mass=1.0, hbar=1.0, phase_period=2 * math.pi):
                           hbar=hbar, phase_period=phase_period)
 
 
-def reconstruct(fields):
-    """R e^{iS}; inverse of decompose up to a global phase."""
-    return fields.R * np.exp(1j * fields.S)
-
-
 def _spectral_laplacian(field, dx):
     n = field.shape[0]
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)

@@ -294,12 +294,3 @@ def to_position(packet):
     # the grid's reference momentum k[0] re-enters as a plane-wave factor
     psi = psi[:, order] * np.exp(1j * packet.k[0] * x)[None, :]
     return x, psi
-
-
-def disc_radius(angular_momentum, mass, c):
-    """Mass-centre disc radius r = L / (m c) of a relativistic collection."""
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    if angular_momentum < 0:
-        raise ValueError("angular momentum must be non-negative")
-    return angular_momentum / (mass * c)

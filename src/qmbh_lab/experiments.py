@@ -96,14 +96,13 @@ class Experiment:
 
 
 def _coerce(default, raw, key):
-    if isinstance(raw, type(default)):
-        return raw
     try:
-        if isinstance(default, bool):
-            return str(raw).lower() in ("1", "true", "yes")
-        return type(default)(raw)
+        value = raw if isinstance(raw, type(default)) else type(default)(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid value {raw!r} for parameter {key!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r} for parameter {key!r}")
+    return value
 
 
 def resolve_parameters(exp, given):
@@ -377,8 +376,22 @@ def _run_zbw(params, outdir):
     return claims, ["trace.csv", "fit.csv", "trace_averaged.csv"]
 
 
+def _scan_widths(raw):
+    """Colon-separated packet widths; the claims read the entries 1 and 100."""
+    try:
+        widths = [float(w) for w in str(raw).split(":")]
+    except ValueError as exc:
+        raise ValueError(f"invalid value {raw!r} for parameter 'widths'") from exc
+    if not (all(math.isfinite(w) and w > 0 for w in widths)
+            and all(a < b for a, b in zip(widths, widths[1:]))
+            and {1.0, 100.0} <= set(widths)):
+        raise ValueError(f"parameter 'widths' must be finite, positive, strictly "
+                         f"increasing and include 1 and 100; got {raw!r}")
+    return widths
+
+
 def _run_neg_energy_scan(params, outdir):
-    widths = [float(w) for w in str(params["widths"]).split(":")]
+    widths = _scan_widths(params["widths"])
     fractions = []
     for w in widths:
         packet = dirac.build_gaussian(sigma_x=w, x0=0.0, p0=0.0, seed=(1, 0))
@@ -633,8 +646,10 @@ def run(spec):
 def run_all(out_root, overrides=None, only=None):
     """Run the registered experiments; returns (reports, failure count).
 
-    `overrides` maps "experiment.param" -> raw value; `only`, when not None,
-    restricts the run to the listed ids (an empty list runs nothing).
+    `overrides` maps "experiment.param" -> raw value, and a key that names no
+    registered experiment or no parameter raises ValueError before anything
+    runs; `only`, when not None, restricts the run to the listed ids (an
+    empty list runs nothing).
     """
     overrides = overrides or {}
     out_root = Path(out_root)
@@ -644,14 +659,16 @@ def run_all(out_root, overrides=None, only=None):
         if unknown:
             raise ValueError(f"unknown experiment ids in filter: {unknown}")
         ids = [i for i in ids if i in set(only)]
-    reports = []
-    for exp_id in ids:
-        params = {}
-        for key, value in overrides.items():
-            prefix, _, name = key.partition(".")
-            if prefix == exp_id and name:
-                params[name] = value
-        reports.append(run(ExperimentSpec(exp_id, params, out_root / exp_id)))
+    params = {exp_id: {} for exp_id in ids}
+    for key, value in overrides.items():
+        prefix, _, name = key.partition(".")
+        if prefix not in EXPERIMENTS or not name:
+            raise ValueError(f"override {key!r} is not "
+                             f"`<registered experiment id>.<parameter>`")
+        if prefix in params:
+            params[prefix][name] = value
+    reports = [run(ExperimentSpec(exp_id, params[exp_id], out_root / exp_id))
+               for exp_id in ids]
     failures = sum(1 for r in reports if r.status != "pass")
     return reports, failures
 
@@ -665,7 +682,8 @@ def summary_lines(reports):
 
 
 def parse_config(path):
-    """`key = value` per line, `#` comments, UTF-8. Returns raw string pairs."""
+    """`key = value` per line, `#` comments, UTF-8. Returns raw string pairs;
+    a key given twice raises ValueError."""
     pairs = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -675,5 +693,8 @@ def parse_config(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs

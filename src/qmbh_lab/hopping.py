@@ -8,7 +8,10 @@ self-interaction term
 
     m0 = integral |psi(x)|^2 U(x) dx,
 
-iterated here to a fixed point. The composite rest mass is
+iterated here to a fixed point. With E0 = 2A the linearized Hamiltonian is
+circulant, so its ground state is the uniform k = 0 mode for every m0 and
+the fixed point is m0 = mean(U) over the chain sites; the iteration runs as
+a scalar recursion with no matrix built. The composite rest mass is
 m = sqrt(m0 * m') / c.
 """
 
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .constants import RatioCheck
 
@@ -63,11 +65,6 @@ class AmplitudeVector:
         if norm == 0.0:
             raise ValueError("cannot normalize a zero vector")
         return AmplitudeVector(self.values / norm)
-
-
-def two_state_energies(e, a):
-    """Stationary energies (E - A, E + A) of the symmetric two-state system."""
-    return (e - a, e + a)
 
 
 def hamiltonian(spec, constant_shift=0.0):
@@ -164,59 +161,19 @@ class EmergentMass:
         return math.sqrt(self.m0 * self.m_prime) / self.c
 
 
-def ground_state(h, tol=1e-12, max_iter=200, warmup=20):
-    """Lowest eigenvector by inverse-power iteration on a dense symmetric matrix.
-
-    Fixed-shift warmup sweeps (shift strictly below the Gershgorin bound)
-    pull the start vector into the low end of the spectrum; Rayleigh-quotient
-    shifts then refine it cubically. Convergence is declared when the
-    Rayleigh quotient settles to <= tol relative.
-    """
-    n = h.shape[0]
-    eye = np.eye(n)
-    radii = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
-    floor = float(np.min(np.diag(h) - radii))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    x = np.ones(n) + 1e-3 * np.cos(2 * np.pi * np.arange(n) / n)
-    x /= np.linalg.norm(x)
-    lu = scipy.linalg.lu_factor(h - (floor - 1.0) * eye)
-    for _ in range(warmup):
-        x = scipy.linalg.lu_solve(lu, x)
-        x /= np.linalg.norm(x)
-    rq_old = float(x @ h @ x)
-    for _ in range(max_iter):
-        shift = rq_old
-        try:
-            lu = scipy.linalg.lu_factor(h - shift * eye)
-            y = scipy.linalg.lu_solve(lu, x)
-        except (scipy.linalg.LinAlgError, ValueError):
-            y = None
-        if y is None or not np.all(np.isfinite(y)):
-            # shift collided with an eigenvalue: nudge it off
-            lu = scipy.linalg.lu_factor(h - (shift - 1e-10 * scale) * eye)
-            y = scipy.linalg.lu_solve(lu, x)
-        x = y / np.linalg.norm(y)
-        rq = float(x @ h @ x)
-        if abs(rq - rq_old) <= tol * max(abs(rq), 1.0):
-            rq_old = rq
-            break
-        rq_old = rq
-    else:
-        raise ArithmeticError("inverse-power iteration did not converge")
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    return x, rq_old
-
-
 def self_consistent_mass(spec, kernel, psi0, damping=0.5, tol=1e-8, max_iter=500,
                          c=1.0):
     """Fixed-point loop for the emergent rest-mass term m0.
 
     Each pass takes the ground state of -(hbar^2/2m') d2/dx2 + m0 (the kinetic
     part is exactly the hopping chain with E0 = 2A), re-evaluates the window
-    integral m0 = sum |psi_i|^2 U(x_i) b, and applies a damped update. Returns
-    (EmergentMass, final AmplitudeVector, history of (iter, m0, delta));
-    the composite mass uses the light-speed scale `c` (natural-unit default).
+    integral m0 = sum |psi_i|^2 U(x_i) b, and applies a damped update. That
+    ground state is the uniform k = 0 mode psi_i = 1/sqrt(N b) for every m0,
+    so the integral is the constant mean(U) and the loop is the scalar
+    recursion m0 <- m0 + damping (mean(U) - m0), started from the window
+    integral of psi0. Returns (EmergentMass, final AmplitudeVector, history of
+    (iter, m0, delta)); the composite mass uses the light-speed scale `c`
+    (natural-unit default).
     """
     x = spec.coordinates()
     u = kernel.u(x)
@@ -225,18 +182,19 @@ def self_consistent_mass(spec, kernel, psi0, damping=0.5, tol=1e-8, max_iter=500
     if not whole_chain and kernel.r_w + 4 * kernel.w > half_extent:
         raise ValueError("kernel window (incl. falloff) extends beyond the chain")
     psi = psi0.normalized(spec.b)
-    weights = np.abs(psi.values) ** 2
-    m0 = float(np.dot(weights, u) * spec.b)
+    m0 = float(np.dot(np.abs(psi.values) ** 2, u) * spec.b)
     history = [(0, m0, math.nan)]
 
-    kinetic = ChainSpec(spec.n_sites, spec.b, 2 * spec.a, spec.a, spec.hbar)
+    # The linearized Hamiltonian is the periodic chain plus the constant
+    # diagonal 2A + m0: a circulant matrix, diagonalized by the DFT, whose
+    # lowest mode is k = 0 whatever m0 is (Gray, "Toeplitz and Circulant
+    # Matrices: A Review", 2006).
+    ground = AmplitudeVector(np.ones(spec.n_sites)).normalized(spec.b)
+    f = float(np.dot(np.abs(ground.values) ** 2, u) * spec.b)
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        h = hamiltonian(kinetic, constant_shift=m0)
-        vec, _ = ground_state(h)
-        psi = AmplitudeVector(vec).normalized(spec.b)
-        f = float(np.dot(np.abs(psi.values) ** 2, u) * spec.b)
+        psi = ground
         new_m0 = m0 + damping * (f - m0)
         delta = abs(new_m0 - m0) / max(abs(new_m0), 1e-300)
         m0 = new_m0
@@ -272,13 +230,3 @@ def emergent_hamiltonian_check(em, p_max, samples=401):
         RatioCheck.relative("rest-energy-at-p-zero",
                             float(e_nr[mid] / e_rel[mid]), 1.0, 1e-14),
     ], deviation
-
-
-def evolve_chain(spec, amplitudes, dt, steps, constant_shift=0.0):
-    """Exact unitary evolution exp(-i H dt / hbar)^steps via diagonalization."""
-    h = hamiltonian(spec, constant_shift=constant_shift)
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * vals * dt / spec.hbar)
-    c = vecs.conj().T @ amplitudes.values
-    c = c * phases**steps
-    return AmplitudeVector(vecs @ c)

@@ -80,17 +80,6 @@ def horizons(p):
     return HorizonResult(r_plus=m + root, r_minus=m - root, naked=radicand < 0.0)
 
 
-def static_limit(p, theta):
-    """Ergoregion boundary r_s(theta) = M* + sqrt(M*^2 - Q*^2 - a*^2 cos^2 theta).
-
-    Complex (principal branch) when the radicand is negative; callers detect
-    that regime through a nonzero imaginary part.
-    """
-    m, q, a = p.m_star, p.q_star, p.a_star
-    radicand = m * m - q * q - (a * math.cos(theta)) ** 2
-    return m + cmath.sqrt(complex(radicand, 0.0))
-
-
 @dataclass(frozen=True)
 class FarFieldSample:
     r: float

@@ -131,16 +131,6 @@ def charge_estimate(s, particle, constants=CGS):
     return checks
 
 
-@dataclass(frozen=True)
-class PotentialProbe:
-    """Far-zone probe record: field point plus the potentials sampled there."""
-
-    r: float
-    theta: float
-    phi: float        # gravitational potential
-    a0: float         # trace potential
-
-
 def _trace_a0_at(s, point, constants):
     # stationary-rotation retardation shortcut: d/dt -> (1 + c) d/dtau on the
     # retarded kernel with |dT/dtau| = 2 omega T and element trace (c^2-1) G m_i
@@ -148,14 +138,6 @@ def _trace_a0_at(s, point, constants):
     factor = 2 * (1 + k.c) * 2 * s.omega * (k.c**2 - 1) * k.G
     dist = np.linalg.norm(s.positions - point, axis=1)
     return factor * math.fsum((s.masses / dist).tolist())
-
-
-def probe_potentials(s, r, theta=0.0, constants=CGS):
-    """Sample both far-zone potentials of a source at one field point."""
-    phi = far_potential(s, r, theta=theta, constants=constants)
-    point = np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
-    return PotentialProbe(r=float(r), theta=float(theta), phi=phi,
-                          a0=_trace_a0_at(s, point, constants))
 
 
 def shell_trace_a0(s, r_values, constants=CGS):

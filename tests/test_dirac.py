@@ -180,26 +180,3 @@ class TestTimeAverage:
         span = float(self.trace.times[-1] - self.trace.times[0])
         with pytest.raises(ValueError, match="quarter"):
             dirac.time_average(self.trace, span / 2)
-
-
-class TestDiscRadius:
-    def test_electron_spin_half(self):
-        hbar, c = 1.054571817e-27, 2.99792458e10
-        m = 9.1093837015e-28
-        assert dirac.disc_radius(hbar / 2, m, c) == pytest.approx(
-            1.930796338621417e-11, rel=1e-12)
-
-    def test_zero_angular_momentum(self):
-        assert dirac.disc_radius(0.0, 1.0, 1.0) == 0.0
-
-    def test_full_hbar_gives_compton(self):
-        hbar, c = 1.054571817e-27, 2.99792458e10
-        m = 9.1093837015e-28
-        assert dirac.disc_radius(hbar, m, c) == pytest.approx(hbar / (m * c),
-                                                              rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="mass"):
-            dirac.disc_radius(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="angular momentum"):
-            dirac.disc_radius(-1.0, 1.0, 1.0)

@@ -34,6 +34,39 @@ class TestRegistry:
         assert report.status == "fail"
         assert "invalid value" in report.error
 
+    @pytest.mark.parametrize("exp_id, key, raw", [
+        ("zbw", "sigma", "nan"),
+        ("metric-slice", "lam", "inf"),
+        ("zbw", "sigma", float("nan")),
+        ("metric-slice", "lam", float("-inf")),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, exp_id, key, raw):
+        report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
+                                                            tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert f"ValueError: non-finite value {raw!r} for parameter {key!r}" \
+            in report.error
+
+    @pytest.mark.parametrize("widths", [
+        "1:2",            # no 100
+        "0.5:2:100",      # no 1
+        "1:100:5",        # not increasing
+        "1:1:100",        # repeated entry
+        "-1:1:100",       # non-positive
+        "1:nan:100",      # non-finite
+        "1:inf:100",
+        "1:wide:100",
+    ])
+    def test_scan_widths_rejected(self, tmp_path, widths):
+        report = experiments.run(experiments.ExperimentSpec(
+            "neg-energy-scan", {"widths": widths}, tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert report.error.startswith("neg-energy-scan: ValueError:")
+        assert "'widths'" in report.error
+        assert not (tmp_path / "neg_energy.csv").exists()
+
 
 class TestRun:
     def test_constants_report_has_six_passing_claims(self, tmp_path):
@@ -93,6 +126,12 @@ class TestRunAll:
         assert by_id["zbw"].status == "fail"
         assert by_id["kn-horizon"].status == "pass"
 
+    @pytest.mark.parametrize("key", ["zbx.sigma", "zbw.", ".sigma", "zbw"])
+    def test_unregistered_override_rejected(self, tmp_path, key):
+        with pytest.raises(ValueError, match=f"override {key!r}"):
+            experiments.run_all(tmp_path, overrides={key: "5"}, only=["ring-model"])
+        assert not (tmp_path / "ring-model").exists()
+
     def test_summary_lines(self, tmp_path):
         reports, _ = experiments.run_all(tmp_path, only=["ring-model"])
         lines = experiments.summary_lines(reports)
@@ -107,6 +146,12 @@ class TestConfigParsing:
                        encoding="utf-8")
         pairs = experiments.parse_config(cfg)
         assert pairs == {"zbw.sigma": "5.0", "only": "zbw , kn-horizon"}
+
+    def test_duplicate_key(self, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("zbw.sigma = 5.0\n# again\nzbw.sigma = 6.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"dup\.cfg:3: duplicate key 'zbw\.sigma'"):
+            experiments.parse_config(cfg)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

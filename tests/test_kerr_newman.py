@@ -76,24 +76,6 @@ class TestHorizons:
             assert h.naked == (abs(h.r_plus.imag) > 0)
 
 
-class TestStaticLimit:
-    def test_poles_coincide_with_horizon(self):
-        p = kn.KNParams.from_particle(ELECTRON)
-        assert kn.static_limit(p, 0.0) == kn.horizons(p).r_plus
-
-    def test_equator_drops_spin(self):
-        p = synthetic_params(1.0, 0.5, 1.0)
-        r_s = kn.static_limit(p, math.pi / 2)
-        assert r_s.imag == pytest.approx(0.0, abs=1e-12)
-        assert r_s.real == pytest.approx(1 + math.sqrt(1 - 0.25), rel=1e-12)
-        # while the horizon itself is complex for these parameters
-        assert kn.horizons(p).naked
-
-    def test_electron_pole_is_complex(self):
-        p = kn.KNParams.from_particle(ELECTRON)
-        assert kn.static_limit(p, 0.0).imag > 0
-
-
 class TestFarFields:
     def test_electron_dipole_magnitude(self):
         p = kn.KNParams.from_particle(ELECTRON)

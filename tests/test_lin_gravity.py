@@ -164,18 +164,6 @@ class TestChargeEstimate:
         assert grow == pytest.approx(100.0, rel=1e-12)
 
 
-class TestPotentialProbe:
-    def test_outputs_finite_and_consistent(self):
-        s = electron_ring()
-        r = 500 * s.radius
-        p = lg.probe_potentials(s, r, theta=0.3)
-        assert math.isfinite(p.phi) and math.isfinite(p.a0)
-        assert p.phi == pytest.approx(lg.far_potential(s, r, theta=0.3), rel=1e-15)
-        equatorial = lg.probe_potentials(s, r, theta=math.pi / 2)
-        a0_ray, _, _ = lg.shell_trace_a0(s, np.array([r, 2 * r]))
-        assert equatorial.a0 == pytest.approx(a0_ray[0], rel=1e-12)
-
-
 class TestShellTraceA0:
     def test_inverse_distance_falloff(self):
         s = electron_ring()
