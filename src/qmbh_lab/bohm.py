@@ -9,10 +9,13 @@ Q = -(hbar^2/2m) lap(R)/R. Around a node the circulation
 is quantized by the phase winding; with the half-integer convention the
 natural unit is pi*hbar/m per half quantum.
 
-Evolution uses the symmetric split-step Fourier scheme on a periodic grid:
-half potential kick, full kinetic step in k-space, half potential kick.
-Grids default to natural units hbar = m = 1; the thin-ring particle model
-at the bottom of the module is the one CGS-facing piece.
+Evolution is free (no potential) and exact on a periodic grid: the kinetic
+phases of the steps compose,
+exp(-i hbar k^2 dt/2m)^s = exp(-i hbar k^2 s dt/2m), so `steps` steps of
+dt are one FFT pair (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
+1982). Potentials are not evolved; Q + V is only evaluated on a given
+state. Grids default to natural units hbar = m = 1; the thin-ring particle
+model at the bottom of the module is the one CGS-facing piece.
 """
 
 import math
@@ -25,7 +28,6 @@ import numpy as np
 from .constants import CGS
 
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
-SPLIT_STEP_ERROR_LIMIT = 1e-6
 
 
 def _check_power_of_two_size(n):
@@ -85,52 +87,19 @@ def vortex_state(n, dx, core_radius, winding=1, mass=1.0, hbar=1.0):
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
 
-def split_step_error_bound(grid, V, dt):
-    """Per-step factorization error estimate 0.5*(dt*max|V|/hbar)^2.
-
-    The implemented scheme is the symmetric (Strang) factorization, whose
-    true local error is one order better; this bound is the conservative
-    screen used to validate dt.
-    """
-    if V is None:
-        return 0.0
-    vmax = float(np.max(np.abs(V)))
-    return 0.5 * (dt * vmax / grid.hbar) ** 2
+def _wavenumbers(n, dx):
+    """Angular wavenumber grids KX, KY of an n x n periodic grid, FFT order."""
+    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    return np.meshgrid(k, k, indexing="ij")
 
 
-def evolve(grid, V, dt, steps):
-    """Split-step evolution for `steps` steps of size dt under potential grid V."""
+def evolve(grid, dt, steps):
+    """Free evolution for `steps` steps of size dt: one exact k-space phase."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if V is not None:
-        V = np.asarray(V, dtype=np.float64)
-        if V.shape != grid.psi.shape:
-            raise ValueError("potential grid shape mismatch")
-        if not np.all(np.isfinite(V)):
-            raise ValueError("potential contains NaN or Inf")
-    bound = split_step_error_bound(grid, V, dt)
-    if bound > SPLIT_STEP_ERROR_LIMIT:
-        raise ValueError(
-            f"dt too large: split-step error bound {bound:.3e} exceeds "
-            f"{SPLIT_STEP_ERROR_LIMIT:.0e}; reduce dt or the potential scale"
-        )
-
-    n = grid.n
-    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    KX, KY = np.meshgrid(k, k, indexing="ij")
-    kinetic_phase = np.exp(-0.5j * grid.hbar * (KX**2 + KY**2) * dt / grid.mass)
-    if V is None:
-        half_kick = None
-    else:
-        half_kick = np.exp(-0.5j * V * dt / grid.hbar)
-
-    psi = grid.psi.copy()
-    for _ in range(steps):
-        if half_kick is not None:
-            psi *= half_kick
-        psi = np.fft.ifft2(kinetic_phase * np.fft.fft2(psi))
-        if half_kick is not None:
-            psi *= half_kick
+    KX, KY = _wavenumbers(grid.n, grid.dx)
+    phase = np.exp(-0.5j * grid.hbar * (KX**2 + KY**2) * (steps * dt) / grid.mass)
+    psi = np.fft.ifft2(phase * np.fft.fft2(grid.psi))
     return WaveGrid2D(psi, grid.dx, mass=grid.mass, hbar=grid.hbar)
 
 
@@ -210,9 +179,7 @@ def synthetic_fields(R, S, dx, mass=1.0, hbar=1.0, phase_period=2 * math.pi):
 
 
 def _spectral_laplacian(field, dx):
-    n = field.shape[0]
-    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    KX, KY = np.meshgrid(k, k, indexing="ij")
+    KX, KY = _wavenumbers(field.shape[0], dx)
     return np.real(np.fft.ifft2(-(KX**2 + KY**2) * np.fft.fft2(field)))
 
 
@@ -305,9 +272,7 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     rho = f.density()
     vx = np.where(f.node_mask, 0.0, f.v[0])
     vy = np.where(f.node_mask, 0.0, f.v[1])
-    n = grid_center.n
-    k = 2 * np.pi * np.fft.fftfreq(n, d=grid_center.dx)
-    KX, KY = np.meshgrid(k, k, indexing="ij")
+    KX, KY = _wavenumbers(grid_center.n, grid_center.dx)
     div = np.real(np.fft.ifft2(1j * KX * np.fft.fft2(rho * vx))
                   + np.fft.ifft2(1j * KY * np.fft.fft2(rho * vy)))
     residual = rho_dot + div

@@ -71,23 +71,29 @@ def run_one(ctx, experiment_id, out_flag):
               help="Plain-text `key = value` configuration file.")
 @click.option("--out", "out_flag", default=None, help="Output root directory.")
 def run_all_cmd(config_path, out_flag):
-    """Run every registered experiment; exit status = number of failures."""
+    """Run every registered experiment; exit status = number of failures.
+
+    A bad config is a usage error (exit status 2) and nothing runs.
+    """
     overrides = {}
     only = None
     config_out = None
-    if config_path:
-        pairs = parse_config(config_path)
-        for key, value in pairs.items():
-            if key == "out":
-                config_out = value
-            elif key == "only":
-                only = [tok.strip() for tok in value.split(",") if tok.strip()]
-            elif "." in key:
-                overrides[key] = value
-            else:
-                raise click.UsageError(f"unrecognized config key {key!r}")
-    out_root = _default_out(out_flag, config_out)
-    reports, failures = run_all(out_root, overrides=overrides, only=only)
+    try:
+        if config_path:
+            pairs = parse_config(config_path)
+            for key, value in pairs.items():
+                if key == "out":
+                    config_out = value
+                elif key == "only":
+                    only = [tok.strip() for tok in value.split(",") if tok.strip()]
+                elif "." in key:
+                    overrides[key] = value
+                else:
+                    raise click.UsageError(f"unrecognized config key {key!r}")
+        out_root = _default_out(out_flag, config_out)
+        reports, failures = run_all(out_root, overrides=overrides, only=only)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if not reports:
         click.echo("warning: registry filter selected zero experiments", err=True)
     for line in summary_lines(reports):

@@ -157,6 +157,9 @@ def _run_constants_report(params, outdir):
 def _run_bohm_vortex(params, outdir):
     n = params["grid"]
     dx = params["dx"]
+    if n < 128:
+        raise ValueError(f"parameter 'grid' must be at least 128: the outer loop "
+                         f"reaches 50 sites from the centre; got {n}")
     grid = bohm.vortex_state(n, dx, core_radius=2 * dx)
     f = bohm.decompose(grid)
     c0 = n // 2
@@ -193,9 +196,9 @@ def _run_bohm_vortex(params, outdir):
     # continuity of an evolved free packet
     g0 = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
     dt = 5e-4
-    mid = bohm.evolve(g0, None, dt, 400)
-    before = bohm.evolve(g0, None, dt, 399)
-    after = bohm.evolve(g0, None, dt, 401)
+    mid = bohm.evolve(g0, dt, 400)
+    before = bohm.evolve(g0, dt, 399)
+    after = bohm.evolve(g0, dt, 401)
     continuity = bohm.continuity_residual(before, mid, after, dt)
 
     # stationary harmonic state: Q + V constant at E

@@ -141,9 +141,9 @@ def test_criterion_8_bohm_module():
 
         g0 = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
         dt = 5e-4
-        mid = bohm.evolve(g0, None, dt, 400)
-        before = bohm.evolve(g0, None, dt, 399)
-        after = bohm.evolve(g0, None, dt, 401)
+        mid = bohm.evolve(g0, dt, 400)
+        before = bohm.evolve(g0, dt, 399)
+        after = bohm.evolve(g0, dt, 401)
         assert bohm.continuity_residual(before, mid, after, dt) <= 1e-3
 
         box = 16.0

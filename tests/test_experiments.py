@@ -106,6 +106,21 @@ class TestRun:
         assert experiments.ExperimentReport.from_dict(report.to_dict()) == report
 
 
+class TestBohmVortex:
+    def test_small_grid_rejected(self, tmp_path):
+        report = experiments.run(experiments.ExperimentSpec(
+            "bohm-vortex", {"grid": "64"}, tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert report.error.startswith("bohm-vortex: ValueError: parameter 'grid'")
+        assert not (tmp_path / "vortex_R.grid").exists()
+
+    def test_smallest_grid_passes(self, tmp_path):
+        report = experiments.run(experiments.ExperimentSpec(
+            "bohm-vortex", {"grid": "128"}, tmp_path))
+        assert report.status == "pass", report.error
+
+
 class TestRunAll:
     def test_empty_filter_runs_nothing(self, tmp_path):
         reports, failures = experiments.run_all(tmp_path, only=[])
@@ -201,6 +216,21 @@ class TestCli:
         result = CliRunner().invoke(
             cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("text, key", [
+        ("zbx.sigma = 5\n", "zbx.sigma"),
+        ("zbw.sigma = 5\nzbw.sigma = 6\n", "zbw.sigma"),
+        ("zbw.sigma 5\n", "zbw.sigma"),
+        ("only = ring-model, kn-wormhole\n", "kn-wormhole"),
+    ], ids=["typo-prefix", "duplicate-key", "malformed-line", "unknown-only-id"])
+    def test_run_all_bad_config_is_usage_error(self, tmp_path, text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(
+            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert key in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_run_all_empty_filter_warns(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
