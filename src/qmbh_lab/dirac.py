@@ -8,8 +8,9 @@ branches makes the mean position oscillate (zitterbewegung) at
     Omega ~ 2 m c^2 / hbar,  amplitude ~ hbar / (2 m c),
 
 and averaging over a Compton time pi hbar / (m c^2) wipes the oscillation
-out. Everything runs in natural units (hbar = c = m = 1) unless a packet is
-built otherwise.
+out; both traces follow in closed form from each mode's Bloch precession.
+Everything runs in natural units (hbar = c = m = 1) unless a packet is built
+otherwise.
 """
 
 import math
@@ -160,13 +161,6 @@ def mean_position(packet):
     return float(np.real(val)) / packet.norm()
 
 
-def mean_velocity(packet):
-    """<c sigma_x>."""
-    a0, a1 = packet.a
-    val = 2 * np.real(np.sum(np.conj(a0) * a1)) * packet.dk
-    return packet.c * float(val) / packet.norm()
-
-
 @dataclass(frozen=True)
 class ZbwFit:
     offset: float
@@ -225,21 +219,41 @@ def fit_trace(times, values, omega=None):
                   omega=float(omega), phase=phase, rms_residual=rms, ok=ok)
 
 
-def mean_position_trace(packet, t_max, samples):
-    """Sampled <x>(t) with its zitterbewegung fit."""
-    if t_max <= 0:
+def _bloch_traces(packet, t_max, samples):
+    """(times, <x>, <c sigma_x>) in closed form. exp(-iHt/hbar) turns each mode's
+    Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et/hbar, so
+    <c sigma_x> = c sum [n_x n.s + cos(2Et/hbar)(s_x - n_x n.s) - sin(2Et/hbar) n_z s_y]
+    and <x> is <x>(0) plus its exact time integral (d<x>/dt = <c sigma_x>)."""
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 16:
         raise ValueError("need at least 16 samples")
+    hx, hz, e = _hamiltonian_fields(packet)
+    nx, nz = hx / e, hz / e
+    a0, a1 = packet.a
+    weight = packet.c * packet.dk / packet.norm()
+    cross = 2 * weight * np.conj(a0) * a1
+    drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
+    beat_cos, beat_sin = cross.real - drift, nz * cross.imag
+    omega = 2 * e / packet.hbar
     times = np.linspace(0.0, t_max, samples)
-    x_mean = np.array([mean_position(evolved(packet, t)) for t in times])
+    phase = np.outer(times, omega)
+    sin, cos = np.sin(phase), np.cos(phase, out=phase)
+    v = drift.sum() + cos @ beat_cos - sin @ beat_sin
+    x = (mean_position(packet) + drift.sum() * times + sin @ (beat_cos / omega)
+         + cos @ (beat_sin / omega) - (beat_sin / omega).sum())
+    return times, x, v
+
+
+def mean_position_trace(packet, t_max, samples):
+    """Sampled <x>(t) with its zitterbewegung fit."""
+    times, x_mean, _ = _bloch_traces(packet, t_max, samples)
     return ZbwTrace(times=times, x_mean=x_mean, fit=fit_trace(times, x_mean))
 
 
 def velocity_trace(packet, t_max, samples):
     """Sampled <c sigma_x>(t) with the same sinusoid fit."""
-    times = np.linspace(0.0, t_max, samples)
-    v = np.array([mean_velocity(evolved(packet, t)) for t in times])
+    times, _, v = _bloch_traces(packet, t_max, samples)
     return ZbwTrace(times=times, x_mean=v, fit=fit_trace(times, v))
 
 

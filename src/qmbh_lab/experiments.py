@@ -298,9 +298,9 @@ def _run_emergent_mass(params, outdir):
     worst_rise = max((m0_seq[i + 1] - m0_seq[i] for i in range(len(m0_seq) - 1)),
                      default=0.0)
 
-    # k = 0 eigenvalue of the linearized Hamiltonian equals m0
-    h_lin = hopping.hamiltonian(hopping.ChainSpec(spec.n_sites, spec.b, 2 * spec.a,
-                                                  spec.a), constant_shift=em2.m0)
+    # k = 0 eigenvalue of the (circulant, so any-N) linearized Hamiltonian equals m0
+    h_lin = hopping.hamiltonian(hopping.ChainSpec(16, spec.b, 2 * spec.a, spec.a),
+                                constant_shift=em2.m0)
     ground = float(np.linalg.eigvalsh(h_lin)[0])
 
     claims = [

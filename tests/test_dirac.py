@@ -155,6 +155,43 @@ class TestZitterbewegung:
         assert abs(dirac.interference_overlap(self.packet, 0.0)) <= 1e-10
 
 
+class TestClosedFormTraces:
+    @pytest.mark.parametrize("kw", [
+        dict(sigma_x=10.0, x0=0.0, p0=0.0, seed=(1, 1)),
+        dict(sigma_x=3.0, x0=1.5, p0=0.7, seed=(0.3, 1j)),
+        dict(sigma_x=2.0, x0=-2.0, p0=-0.4, seed=(1 - 0.5j, 0.2 + 1j),
+             mass=2.5, c=1.7, hbar=0.6),
+        dict(sigma_x=1.0, x0=0.5, p0=0.0, seed=(1j, 1)),
+    ])
+    def test_matches_per_sample_evolution(self, kw):
+        # reference: evolve each sample exactly, then <x> spectrally and
+        # <c sigma_x> = c 2 Re(conj(a0) a1) dk / norm mode by mode
+        p = dirac.build_gaussian(**kw)
+        t_max = 3 * 2 * math.pi / p.zbw_omega
+        xtrace = dirac.mean_position_trace(p, t_max, 64)
+        vtrace = dirac.velocity_trace(p, t_max, 64)
+        x_ref, v_ref = [], []
+        for t in xtrace.times:
+            moved = dirac.evolved(p, t)
+            a0, a1 = moved.a
+            x_ref.append(dirac.mean_position(moved))
+            v_ref.append(moved.c * 2 * np.real(np.sum(np.conj(a0) * a1))
+                         * moved.dk / moved.norm())
+        x_ref, v_ref = np.array(x_ref), np.array(v_ref)
+        assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
+        assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("trace_fn", [dirac.mean_position_trace, dirac.velocity_trace])
+    @pytest.mark.parametrize("t_max, samples, match", [
+        (0.0, 768, "t_max"),
+        (-1.0, 768, "t_max"),
+        (10.0, 3, "samples"),
+    ])
+    def test_rejects_bad_inputs(self, trace_fn, t_max, samples, match):
+        with pytest.raises(ValueError, match=match):
+            trace_fn(mixed_packet(), t_max, samples)
+
+
 class TestTimeAverage:
     def setup_method(self):
         self.packet = mixed_packet(10.0)
