@@ -19,7 +19,6 @@ model at the bottom of the module is the one CGS-facing piece.
 """
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -328,26 +327,19 @@ def ring_quadrature_checks(model, constants=CGS, segments=4096):
 
 # Flat binary snapshot: 16-byte header (N, dx as little-endian float64),
 # then the row-major float64 grid; a text sidecar describes the payload.
-# Writes go through a temp file and rename, so readers never see a partial
-# snapshot.
 
-def save_field(path, array, dx, label=""):
+def encode_field(array, dx, label=""):
+    """(snapshot bytes, sidecar bytes) of a square real grid; `load_field` reads
+    the snapshot back."""
     arr = np.ascontiguousarray(array, dtype="<f8")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("snapshot expects a square 2-D real grid")
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack("<dd", float(arr.shape[0]), float(dx)))
-        fh.write(arr.tobytes())
-    os.replace(tmp, path)
+    payload = struct.pack("<dd", float(arr.shape[0]), float(dx)) + arr.tobytes()
     sidecar = (f"field = {label or 'unnamed'}\n"
                f"n = {arr.shape[0]}\n"
                f"dx = {dx:.17g}\n"
                "layout = header(n, dx as float64 LE) + row-major float64 grid\n")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(sidecar)
-    os.replace(tmp, f"{path}.txt")
+    return payload, sidecar.encode("utf-8")
 
 
 def load_field(path):

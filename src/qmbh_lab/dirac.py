@@ -251,10 +251,12 @@ def mean_position_trace(packet, t_max, samples):
     return ZbwTrace(times=times, x_mean=x_mean, fit=fit_trace(times, x_mean))
 
 
-def velocity_trace(packet, t_max, samples):
-    """Sampled <c sigma_x>(t) with the same sinusoid fit."""
-    times, _, v = _bloch_traces(packet, t_max, samples)
-    return ZbwTrace(times=times, x_mean=v, fit=fit_trace(times, v))
+def zbw_traces(packet, t_max, samples):
+    """(<x>, <c sigma_x>) traces of one packet from one closed-form evaluation,
+    each with its sinusoid fit; the velocity samples sit in `x_mean`."""
+    times, x_mean, v = _bloch_traces(packet, t_max, samples)
+    return (ZbwTrace(times=times, x_mean=x_mean, fit=fit_trace(times, x_mean)),
+            ZbwTrace(times=times, x_mean=v, fit=fit_trace(times, v)))
 
 
 def time_average(trace, T):

@@ -1,11 +1,11 @@
 """Experiment registry, batch execution, and machine-readable reporting.
 
-Every experiment is a pure function of its parameters: it writes CSV tables
-(one header row, floats at 17 significant digits) plus a report record into
-its own output directory, and returns a list of RatioCheck claims. File
-writes go through a temp-file-then-rename so a crash never leaves a partial
-table behind. Running the same configuration twice must produce
-byte-identical tables.
+Every experiment is a pure function of its parameters: its runner returns
+RatioCheck claims and its files as data (CSV tables with one header row and
+floats at 17 significant digits, or raw bytes) and touches no file. `run`
+writes them once the runner has returned, each through a temp-file-then-rename,
+then the report record, so a failed experiment leaves only report.json.
+Running the same configuration twice must produce byte-identical tables.
 """
 
 import json
@@ -28,11 +28,15 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def atomic_write_text(path, text):
+def _atomic_write_bytes(path, data):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text):
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_table(path, header, rows):
@@ -121,9 +125,9 @@ def _particle(name):
 
 
 # --------------------------------------------------------------------------
-# runners: (params, outdir) -> (claims, table file names)
+# runners: params -> (claims, {file name: (header, rows) or bytes})
 
-def _run_constants_report(params, outdir):
+def _run_constants_report(params):
     p = _particle(params["particle"])
     claims = list(coupling_identities(p))
     claims.append(RatioCheck.relative("charge-to-gravity-magnitude",
@@ -133,9 +137,6 @@ def _run_constants_report(params, outdir):
 
     rows = [[c.id, c.computed, c.reference, c.tolerance_kind, c.tolerance,
              str(c.passed)] for c in claims]
-    write_table(outdir / "ratios.csv",
-                ["id", "computed", "reference", "tolerance_kind", "tolerance", "passed"],
-                rows)
 
     scales = extreme_scales(p)
     extra = [
@@ -150,11 +151,14 @@ def _run_constants_report(params, outdir):
         ["y_over_c2", scales["y_over_c2"]],
         ["p_times_a_over_hbar", scales["p_times_a_over_hbar"]],
     ]
-    write_table(outdir / "scales.csv", ["quantity", "value"], extra)
-    return claims, ["ratios.csv", "scales.csv"]
+    return claims, {
+        "ratios.csv": (["id", "computed", "reference", "tolerance_kind", "tolerance",
+                        "passed"], rows),
+        "scales.csv": (["quantity", "value"], extra),
+    }
 
 
-def _run_bohm_vortex(params, outdir):
+def _run_bohm_vortex(params):
     n = params["grid"]
     dx = params["dx"]
     if n < 128:
@@ -183,8 +187,6 @@ def _run_bohm_vortex(params, outdir):
     res_half = bohm.circulation(half, loops["mid"])
     rows.append(["half-winding", res_half.gamma, res_half.half_quanta,
                  res_half.residual])
-    write_table(outdir / "circulation.csv",
-                ["loop_id", "gamma", "half_quanta", "residual"], rows)
 
     spread = max(quanta.values()) - min(quanta.values())
 
@@ -214,7 +216,7 @@ def _run_bohm_vortex(params, outdir):
     total = q + (XH**2 + YH**2) / 2
     q_std = float(total[~fh.node_mask].std())
 
-    bohm.save_field(outdir / "vortex_R.grid", f.R, dx, label="vortex amplitude R")
+    snapshot, sidecar = bohm.encode_field(f.R, dx, label="vortex amplitude R")
 
     claims = [
         RatioCheck.relative("unit-winding-m-gamma-over-h",
@@ -229,17 +231,19 @@ def _run_bohm_vortex(params, outdir):
         RatioCheck.upper_bound("stationary-q-constancy-std", q_std, 1e-3,
                                note="std of Q+V against E = 1"),
     ]
-    return claims, ["circulation.csv", "vortex_R.grid", "vortex_R.grid.txt"]
+    return claims, {
+        "circulation.csv": (["loop_id", "gamma", "half_quanta", "residual"], rows),
+        "vortex_R.grid": snapshot,
+        "vortex_R.grid.txt": sidecar,
+    }
 
 
-def _run_ring_model(params, outdir):
+def _run_ring_model(params):
     p = _particle(params["particle"])
     m1 = bohm.ring_model(1, p.mass)
     m2 = bohm.ring_model(2, p.mass)
     checks1 = bohm.ring_quadrature_checks(m1)
     rows = [[m.winding, m.mass, m.radius, m.energy] for m in (m1, m2)]
-    write_table(outdir / "ring.csv", ["winding", "mass_g", "radius_cm", "energy_erg"],
-                rows)
     claims = [
         RatioCheck.relative("ring-radius-n1", m1.radius,
                             half_compton_wavelength(p), 1e-12),
@@ -250,14 +254,13 @@ def _run_ring_model(params, outdir):
         RatioCheck.relative("ring-action-quadrature",
                             checks1["action_over_nh_half"], 1.0, 1e-10),
     ]
-    return claims, ["ring.csv"]
+    return claims, {"ring.csv": (["winding", "mass_g", "radius_cm", "energy_erg"],
+                                 rows)}
 
 
-def _run_hopping_dispersion(params, outdir):
+def _run_hopping_dispersion(params):
     spec = hopping.ChainSpec(params["sites"], params["b"], params["e0"], params["a"])
     disp = hopping.dispersion(spec)
-    write_table(outdir / "dispersion.csv", ["k", "E_k"],
-                list(zip(disp.k, disp.energies)))
     # E(k) vs E(-k) symmetry over the paired modes
     k = disp.k
     e_of = dict(zip(k.tolist(), disp.energies.tolist()))
@@ -275,10 +278,11 @@ def _run_hopping_dispersion(params, outdir):
         RatioCheck.relative("m-prime-doubled-spacing",
                             hopping.ChainSpec(64, 2.0, 2.0, 1.0).m_prime(), 0.125, 1e-15),
     ]
-    return claims, ["dispersion.csv"]
+    return claims, {"dispersion.csv": (["k", "E_k"],
+                                       list(zip(disp.k, disp.energies)))}
 
 
-def _run_emergent_mass(params, outdir):
+def _run_emergent_mass(params):
     spec = hopping.ChainSpec(params["sites"], params["b"], 2 * params["a"], params["a"])
     x = spec.coordinates()
     sigma0 = 6 * spec.b
@@ -292,7 +296,6 @@ def _run_emergent_mass(params, outdir):
     half_extent = (spec.n_sites // 2) * spec.b
     kern = hopping.NonlocalKernel.for_chain(spec, half_extent / 2 - 8 * spec.b)
     em2, _, hist2 = hopping.self_consistent_mass(spec, kern, psi0)
-    write_table(outdir / "convergence.csv", ["iter", "m0", "delta"], hist2)
 
     m0_seq = [h[1] for h in hist2]
     worst_rise = max((m0_seq[i + 1] - m0_seq[i] for i in range(len(m0_seq) - 1)),
@@ -312,10 +315,10 @@ def _run_emergent_mass(params, outdir):
         RatioCheck.upper_bound("monotone-iterates", max(0.0, worst_rise), 1e-12),
         RatioCheck.relative("zero-mode-eigenvalue", ground, em2.m0, 1e-8),
     ]
-    return claims, ["convergence.csv"]
+    return claims, {"convergence.csv": (["iter", "m0", "delta"], hist2)}
 
 
-def _run_dispersion_vs_relativity(params, outdir):
+def _run_dispersion_vs_relativity(params):
     spec = hopping.ChainSpec(params["sites"], params["b"], 2 * params["a"], params["a"])
     x = spec.coordinates()
     psi0 = hopping.AmplitudeVector(np.exp(-x**2 / (2 * (6 * spec.b) ** 2)))
@@ -330,39 +333,37 @@ def _run_dispersion_vs_relativity(params, outdir):
     p = np.linspace(0.0, mc, 65)
     e_nr = p**2 / (2 * em.m) + em.m * em.c**2
     e_rel = np.sqrt(p**2 * em.c**2 + em.m**2 * em.c**4)
-    write_table(outdir / "dispersion_vs_relativity.csv",
-                ["p", "E_quadratic", "E_relativistic"],
-                list(zip(p, e_nr, e_rel)))
 
     claims = list(checks_small)
     claims.append(RatioCheck.upper_bound("small-p-deviation", dev_small, 1.5e-5))
     claims.append(RatioCheck.relative("luminal-p-deviation", dev_large,
                                       1.5 - math.sqrt(2.0), 1e-3,
                                       note="deviation at p = mc"))
-    return claims, ["dispersion_vs_relativity.csv"]
+    return claims, {"dispersion_vs_relativity.csv": (
+        ["p", "E_quadratic", "E_relativistic"], list(zip(p, e_nr, e_rel)))}
 
 
-def _run_zbw(params, outdir):
-    sigma = params["sigma"]
-    packet = dirac.build_gaussian(sigma_x=sigma, x0=0.0, p0=0.0, seed=(1, 1))
+def _run_zbw(params):
+    # time_average's window, one zbw period, is under a quarter of the trace
+    # only for periods > 4
+    for key, low in [("sigma", 0), ("periods", 4), ("omega_tol", 0),
+                     ("suppress_factor", 0)]:
+        if not params[key] > low:
+            raise ValueError(f"parameter {key!r} must be greater than {low}; "
+                             f"got {params[key]!r}")
+    if params["samples"] < 16:
+        raise ValueError(f"parameter 'samples' must be at least 16; "
+                         f"got {params['samples']!r}")
+    packet = dirac.build_gaussian(sigma_x=params["sigma"], x0=0.0, p0=0.0, seed=(1, 1))
     omega0 = packet.zbw_omega
     t_max = params["periods"] * 2 * math.pi / omega0
-    trace = dirac.mean_position_trace(packet, t_max, params["samples"])
-    write_table(outdir / "trace.csv", ["t", "x_mean"],
-                list(zip(trace.times, trace.x_mean)))
+    trace, vtrace = dirac.zbw_traces(packet, t_max, params["samples"])
     f = trace.fit
-    write_table(outdir / "fit.csv", ["amplitude", "omega", "slope", "residual"],
-                [[f.amplitude, f.omega, f.slope, f.rms_residual]])
-
     averaged = dirac.time_average(trace, math.pi * packet.hbar
                                   / (packet.mass * packet.c**2))
-    write_table(outdir / "trace_averaged.csv", ["t", "x_mean"],
-                list(zip(averaged.times, averaged.x_mean)))
 
     pure = dirac.project_branch(packet, +1)
     pure_trace = dirac.mean_position_trace(pure, t_max, params["samples"])
-
-    vtrace = dirac.velocity_trace(packet, t_max, params["samples"])
 
     lam = packet.compton_length
     claims = [
@@ -376,7 +377,13 @@ def _run_zbw(params, outdir):
         RatioCheck.relative("velocity-oscillation-frequency",
                             vtrace.fit.omega, f.omega, 0.05),
     ]
-    return claims, ["trace.csv", "fit.csv", "trace_averaged.csv"]
+    return claims, {
+        "trace.csv": (["t", "x_mean"], list(zip(trace.times, trace.x_mean))),
+        "fit.csv": (["amplitude", "omega", "slope", "residual"],
+                    [[f.amplitude, f.omega, f.slope, f.rms_residual]]),
+        "trace_averaged.csv": (["t", "x_mean"],
+                               list(zip(averaged.times, averaged.x_mean))),
+    }
 
 
 def _scan_widths(raw):
@@ -393,15 +400,13 @@ def _scan_widths(raw):
     return widths
 
 
-def _run_neg_energy_scan(params, outdir):
+def _run_neg_energy_scan(params):
     widths = _scan_widths(params["widths"])
     fractions = []
     for w in widths:
         packet = dirac.build_gaussian(sigma_x=w, x0=0.0, p0=0.0, seed=(1, 0))
         split = dirac.energy_fractions(packet)
         fractions.append((w, split.w_minus, split.w_plus))
-    write_table(outdir / "neg_energy.csv",
-                ["sigma_over_compton", "w_minus", "w_plus"], fractions)
 
     w_by_sigma = {w: wm for w, wm, _ in fractions}
     rises = [fractions[i + 1][1] - fractions[i][1] for i in range(len(fractions) - 1)]
@@ -418,10 +423,11 @@ def _run_neg_energy_scan(params, outdir):
         RatioCheck.upper_bound("pure-branch-fraction",
                                dirac.energy_fractions(pure).w_minus, 1e-14),
     ]
-    return claims, ["neg_energy.csv"]
+    return claims, {"neg_energy.csv": (["sigma_over_compton", "w_minus", "w_plus"],
+                                       fractions)}
 
 
-def _run_kn_horizon(params, outdir):
+def _run_kn_horizon(params):
     p = _particle(params["particle"])
     kp = kerr_newman.KNParams.from_particle(p)
     hz = kerr_newman.horizons(kp)
@@ -434,9 +440,6 @@ def _run_kn_horizon(params, outdir):
         hh = kerr_newman.horizons(kpp)
         rows.append([name, kpp.m_star, kpp.a_star, kpp.q_star,
                      hh.r_plus.real, hh.r_plus.imag, str(hh.naked)])
-    write_table(outdir / "horizons.csv",
-                ["name", "M_star", "a_star", "Q_star", "re_r_plus", "im_r_plus",
-                 "naked"], rows)
 
     schw = kerr_newman.KNParams(mass=CGS.c**2 / CGS.G, charge=0.0,
                                 angular_momentum=0.0)
@@ -455,10 +458,11 @@ def _run_kn_horizon(params, outdir):
                             2 * kp.m_star, 1e-12),
         RatioCheck.relative("root-product", abs(product), target, 1e-10),
     ]
-    return claims, ["horizons.csv"]
+    return claims, {"horizons.csv": (["name", "M_star", "a_star", "Q_star",
+                                      "re_r_plus", "im_r_plus", "naked"], rows)}
 
 
-def _run_kn_fields(params, outdir):
+def _run_kn_fields(params):
     p = _particle(params["particle"])
     kp = kerr_newman.KNParams.from_particle(p)
     r = params["r"]
@@ -467,8 +471,6 @@ def _run_kn_fields(params, outdir):
     for th in thetas:
         s = kerr_newman.far_fields(kp, r, float(th))
         rows.append([s.r, s.theta, s.phi_grav, s.e_r, s.b_r, s.b_theta])
-    write_table(outdir / "far_fields.csv",
-                ["r", "theta", "phi", "E_r", "B_r", "B_theta"], rows)
 
     eq = kerr_newman.far_fields(kp, r, math.pi / 2)
     pole = kerr_newman.far_fields(kp, r, 0.0)
@@ -488,10 +490,11 @@ def _run_kn_fields(params, outdir):
         RatioCheck.relative("g-factor", kerr_newman.g_factor(kp), 2.0, 1e-12),
         RatioCheck.upper_bound("divergence-free-dipole", div_worst, 1e-8),
     ]
-    return claims, ["far_fields.csv"]
+    return claims, {"far_fields.csv": (["r", "theta", "phi", "E_r", "B_r", "B_theta"],
+                                       rows)}
 
 
-def _run_metric_slice(params, outdir):
+def _run_metric_slice(params):
     a = params["a"]
     eps = params["eps"]
     lam = params["lam"]
@@ -503,8 +506,6 @@ def _run_metric_slice(params, outdir):
         si = kerr_newman.metric_slice(a, eps * a, eps * a, a, math.pi / 2,
                                       float(lam_i))
         rows.append([lam_i, si.dt2_coeff, si.dr2_coeff, si.doubling_factor])
-    write_table(outdir / "slices.csv",
-                ["lam", "dt2_coeff", "dr2_coeff", "doubling_factor"], rows)
 
     claims = [
         RatioCheck.relative("corotating-dt2-coefficient", s.dt2_coeff, -0.5, 2e-6),
@@ -512,10 +513,11 @@ def _run_metric_slice(params, outdir):
         RatioCheck.relative("azimuth-doubling-factor", s.doubling_factor, 2.0, 1e-15),
         RatioCheck.upper_bound("null-slice-dt2", abs(null.dt2_coeff), 1e-6),
     ]
-    return claims, ["slices.csv"]
+    return claims, {"slices.csv": (["lam", "dt2_coeff", "dr2_coeff", "doubling_factor"],
+                                   rows)}
 
 
-def _run_shell_spin(params, outdir):
+def _run_shell_spin(params):
     p = _particle(params["particle"])
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["ring_elements"], CGS.c)
@@ -536,7 +538,6 @@ def _run_shell_spin(params, outdir):
     a0, slope, coeff = lin_gravity.shell_trace_a0(ring, r_values)
     rows = [[r, lin_gravity.far_potential(ring, float(r), theta=0.0), a]
             for r, a in zip(r_values, a0)]
-    write_table(outdir / "far_zone.csv", ["r", "phi", "A0"], rows)
 
     hbar = CGS.hbar
     claims = [
@@ -550,10 +551,10 @@ def _run_shell_spin(params, outdir):
         RatioCheck.relative("far-potential-monopole", phi_far,
                             -CGS.G * p.mass / r_far, 1e-8),
     ]
-    return claims, ["far_zone.csv"]
+    return claims, {"far_zone.csv": (["r", "phi", "A0"], rows)}
 
 
-def _run_charge_confinement(params, outdir):
+def _run_charge_confinement(params):
     p = _particle(params["particle"])
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["elements"], CGS.c)
@@ -571,18 +572,19 @@ def _run_charge_confinement(params, outdir):
     src = lin_gravity.ShellSource.ring(m_gev, r_m, 256, 1.0)
     samples = np.geomspace(0.1 * r_m, 10 * r_m, 16)
     fit = lin_gravity.confinement_expansion(src, m_gev, samples)
-    write_table(outdir / "confinement_fit.csv",
-                ["alpha_c", "sigma_l", "ratio", "ratio_closed_form"],
-                [[fit.alpha_c, fit.sigma_l, fit.ratio, fit.ratio_closed_form]])
-    write_table(outdir / "confinement_profile.csv", ["r", "h"],
-                list(zip(samples, lin_gravity.confinement_profile(m_gev, samples))))
 
     claims.append(RatioCheck.relative("confinement-coefficient-ratio", fit.ratio,
                                       fit.ratio_closed_form, 0.01))
     claims.append(RatioCheck.order_of_magnitude("confinement-ratio-scale",
                                                 fit.ratio, 1.0, 1.5,
                                                 note="against the 1/hbar^2 GeV^2 scale"))
-    return claims, ["confinement_fit.csv", "confinement_profile.csv"]
+    return claims, {
+        "confinement_fit.csv": (["alpha_c", "sigma_l", "ratio", "ratio_closed_form"],
+                                [[fit.alpha_c, fit.sigma_l, fit.ratio,
+                                  fit.ratio_closed_form]]),
+        "confinement_profile.csv": (["r", "h"], list(zip(
+            samples, lin_gravity.confinement_profile(m_gev, samples)))),
+    }
 
 
 EXPERIMENTS = {}
@@ -627,7 +629,8 @@ for _exp in [
 
 
 def run(spec):
-    """Execute one experiment; tables and report.json land in its directory."""
+    """Execute one experiment into its directory: the runner's files once it
+    has returned (so a failure writes none of them), then report.json."""
     exp = EXPERIMENTS[spec.id]
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -636,7 +639,13 @@ def run(spec):
     claims, tables = [], []
     try:
         params = resolve_parameters(exp, spec.parameters)
-        claims, tables = exp.runner(params, outdir)
+        claims, outputs = exp.runner(params)
+        for name, content in outputs.items():
+            if isinstance(content, bytes):
+                _atomic_write_bytes(outdir / name, content)
+            else:
+                write_table(outdir / name, *content)
+            tables.append(name)
     except Exception as exc:  # recorded, not raised: run-all must continue
         error = f"{spec.id}: {type(exc).__name__}: {exc}"
     report = ExperimentReport.build(spec.id, claims, tables,

@@ -275,24 +275,22 @@ class TestSnapshots:
     def test_round_trip(self, tmp_path):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
         f = bohm.decompose(g)
+        payload, sidecar = bohm.encode_field(f.R, g.dx, label="R")
         path = tmp_path / "field.grid"
-        bohm.save_field(path, f.R, g.dx, label="R")
+        path.write_bytes(payload)
         arr, dx = bohm.load_field(path)
         assert dx == g.dx
         assert np.array_equal(arr, f.R)
-        sidecar = (tmp_path / "field.grid.txt").read_text(encoding="utf-8")
-        assert "n = 64" in sidecar
+        assert "n = 64" in sidecar.decode("utf-8")
 
-    def test_header_is_16_bytes(self, tmp_path):
+    def test_header_is_16_bytes(self):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
-        path = tmp_path / "f.grid"
-        bohm.save_field(path, np.abs(g.psi), g.dx)
-        assert path.stat().st_size == 16 + 64 * 64 * 8
+        payload, _ = bohm.encode_field(np.abs(g.psi), g.dx)
+        assert len(payload) == 16 + 64 * 64 * 8
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.grid"
-        bohm.save_field(path, np.ones((64, 64)), 0.1)
-        payload = path.read_bytes()[:-8]
-        path.write_bytes(payload)
+        payload, _ = bohm.encode_field(np.ones((64, 64)), 0.1)
+        path.write_bytes(payload[:-8])
         with pytest.raises(ValueError, match="payload"):
             bohm.load_field(path)

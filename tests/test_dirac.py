@@ -136,7 +136,7 @@ class TestZitterbewegung:
 
     def test_velocity_oscillates_at_same_frequency(self):
         t_max = 6 * 2 * math.pi / self.packet.zbw_omega
-        vtrace = dirac.velocity_trace(self.packet, t_max, 768)
+        _, vtrace = dirac.zbw_traces(self.packet, t_max, 768)
         assert vtrace.fit.omega == pytest.approx(self.trace.fit.omega, rel=0.05)
 
     def test_interference_term_integrates_to_zero(self):
@@ -168,8 +168,8 @@ class TestClosedFormTraces:
         # <c sigma_x> = c 2 Re(conj(a0) a1) dk / norm mode by mode
         p = dirac.build_gaussian(**kw)
         t_max = 3 * 2 * math.pi / p.zbw_omega
-        xtrace = dirac.mean_position_trace(p, t_max, 64)
-        vtrace = dirac.velocity_trace(p, t_max, 64)
+        xtrace, vtrace = dirac.zbw_traces(p, t_max, 64)
+        assert np.array_equal(xtrace.x_mean, dirac.mean_position_trace(p, t_max, 64).x_mean)
         x_ref, v_ref = [], []
         for t in xtrace.times:
             moved = dirac.evolved(p, t)
@@ -181,7 +181,7 @@ class TestClosedFormTraces:
         assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
         assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-12
 
-    @pytest.mark.parametrize("trace_fn", [dirac.mean_position_trace, dirac.velocity_trace])
+    @pytest.mark.parametrize("trace_fn", [dirac.mean_position_trace, dirac.zbw_traces])
     @pytest.mark.parametrize("t_max, samples, match", [
         (0.0, 768, "t_max"),
         (-1.0, 768, "t_max"),

@@ -67,6 +67,32 @@ class TestRegistry:
         assert "'widths'" in report.error
         assert not (tmp_path / "neg_energy.csv").exists()
 
+    @pytest.mark.parametrize("key, raw", [
+        ("sigma", "0"),
+        ("sigma", "-1"),
+        ("periods", "0"),
+        ("periods", "0.001"),
+        ("periods", "4"),        # averaging window = a quarter of the trace
+        ("samples", "3"),
+        ("samples", "15"),
+        ("omega_tol", "0"),
+        ("omega_tol", "-1"),
+        ("suppress_factor", "0"),
+        ("suppress_factor", "-2"),
+    ])
+    def test_zbw_domain_rejected(self, tmp_path, key, raw):
+        report = experiments.run(experiments.ExperimentSpec("zbw", {key: raw},
+                                                            tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert report.error.startswith(f"zbw: ValueError: parameter {key!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_zbw_periods_above_window_bound_passes(self, tmp_path):
+        report = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4.5"},
+                                                            tmp_path))
+        assert report.status == "pass", report.error
+
 
 class TestRun:
     def test_constants_report_has_six_passing_claims(self, tmp_path):
@@ -99,6 +125,17 @@ class TestRun:
         assert ra.tables == rb.tables
         for name in ra.tables:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_failed_runner_writes_only_report(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("averaging failed")
+
+        # zbw has computed its trace and fit by the time it averages them
+        monkeypatch.setattr(experiments.dirac, "time_average", fail)
+        report = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
+        assert report.error == "zbw: RuntimeError: averaging failed"
+        assert report.tables == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_report_round_trip(self, tmp_path):
         report = experiments.run(
@@ -133,12 +170,13 @@ class TestRunAll:
 
     def test_forced_failure_is_counted_and_run_continues(self, tmp_path):
         reports, failures = experiments.run_all(
-            tmp_path, overrides={"zbw.omega_tol": "0"},
+            tmp_path, overrides={"zbw.omega_tol": "1e-6"},
             only=["zbw", "kn-horizon"])
         assert len(reports) == 2
         assert failures == 1
         by_id = {r.id: r for r in reports}
         assert by_id["zbw"].status == "fail"
+        assert by_id["zbw"].error == ""  # a failed claim, not an error
         assert by_id["kn-horizon"].status == "pass"
 
     @pytest.mark.parametrize("key", ["zbx.sigma", "zbw.", ".sigma", "zbw"])
@@ -146,6 +184,13 @@ class TestRunAll:
         with pytest.raises(ValueError, match=f"override {key!r}"):
             experiments.run_all(tmp_path, overrides={key: "5"}, only=["ring-model"])
         assert not (tmp_path / "ring-model").exists()
+
+    def test_directories_hold_exactly_their_tables(self, tmp_path):
+        reports, failures = experiments.run_all(tmp_path)
+        assert failures == 0
+        for r in reports:
+            on_disk = sorted(p.name for p in (tmp_path / r.id).iterdir())
+            assert on_disk == sorted(r.tables + ["report.json"]), r.id
 
     def test_summary_lines(self, tmp_path):
         reports, _ = experiments.run_all(tmp_path, only=["ring-model"])
@@ -212,7 +257,7 @@ class TestCli:
 
     def test_run_all_exit_code_counts_failures(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
-        cfg.write_text("only = zbw\nzbw.omega_tol = 0\n", encoding="utf-8")
+        cfg.write_text("only = zbw\nzbw.omega_tol = 1e-6\n", encoding="utf-8")
         result = CliRunner().invoke(
             cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
