@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -182,8 +181,7 @@ class ZbwTrace:
 def _linear_sinusoid_solve(t, x, omega):
     basis = np.stack([np.ones_like(t), t, np.sin(omega * t), np.cos(omega * t)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    resid = x - basis @ coef
-    return coef, float(np.sqrt(np.mean(resid**2)))
+    return basis, coef, x - basis @ coef
 
 
 def fit_trace(times, values, omega=None):
@@ -191,7 +189,11 @@ def fit_trace(times, values, omega=None):
 
     With omega given the problem is linear; otherwise the frequency starts
     from the periodogram peak of the detrended signal and is refined by
-    bounded scalar minimization of the residual.
+    Gauss-Newton on omega alone (variable projection, Golub & Pereyra 1973):
+    each step refits the four linear coefficients, then adds the Jacobian
+    column t (B cos Omega t - C sin Omega t) for the omega step, B and C being
+    the sin and cos coefficients. It stops at a step of at most 1e-15 omega or
+    after 8 steps, and raises ValueError if omega leaves +-1.5 bins of the peak.
     """
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(values, dtype=np.float64)
@@ -201,16 +203,22 @@ def fit_trace(times, values, omega=None):
         spectrum = np.abs(np.fft.rfft(detrended))
         freqs = 2 * np.pi * np.fft.rfftfreq(t.size, d=t[1] - t[0])
         peak = int(np.argmax(spectrum[1:])) + 1
-        omega0 = freqs[peak]
+        omega0 = omega = float(freqs[peak])
         width = freqs[1]
-        res = scipy.optimize.minimize_scalar(
-            lambda w: _linear_sinusoid_solve(t, x, w)[1],
-            bounds=(max(omega0 - 1.5 * width, 0.25 * width), omega0 + 1.5 * width),
-            method="bounded",
-            options={"xatol": 1e-10 * max(omega0, width)},
-        )
-        omega = float(res.x)
-    coef, rms = _linear_sinusoid_solve(t, x, omega)
+        lo, hi = max(omega0 - 1.5 * width, 0.25 * width), omega0 + 1.5 * width
+        for _ in range(8):
+            basis, coef, resid = _linear_sinusoid_solve(t, x, omega)
+            d_omega = t * (coef[2] * basis[:, 3] - coef[3] * basis[:, 2])
+            jac = np.column_stack([basis, d_omega])
+            step = float(np.linalg.lstsq(jac, resid, rcond=None)[0][4])
+            omega += step
+            if not lo <= omega <= hi:
+                raise ValueError(f"frequency fit left the bracket [{lo:.6g}, {hi:.6g}] "
+                                 f"about the periodogram peak {omega0:.6g}")
+            if abs(step) <= 1e-15 * omega:
+                break
+    _, coef, resid = _linear_sinusoid_solve(t, x, omega)
+    rms = float(np.sqrt(np.mean(resid**2)))
     amplitude = float(np.hypot(coef[2], coef[3]))
     phase = float(math.atan2(coef[3], coef[2]))
     scale = float(np.max(np.abs(x - np.mean(x)))) if x.size else 0.0

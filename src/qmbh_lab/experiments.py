@@ -3,8 +3,10 @@
 Every experiment is a pure function of its parameters: its runner returns
 RatioCheck claims and its files as data (CSV tables with one header row and
 floats at 17 significant digits, or raw bytes) and touches no file. `run`
-writes them once the runner has returned, each through a temp-file-then-rename,
-then the report record, so a failed experiment leaves only report.json.
+first deletes the tables that the directory's previous report.json lists, then
+writes the new ones once the runner has returned, each through a
+temp-file-then-rename, then the report record, so a failed experiment leaves
+only report.json.
 Running the same configuration twice must produce byte-identical tables.
 """
 
@@ -555,6 +557,9 @@ def _run_shell_spin(params):
 
 
 def _run_charge_confinement(params):
+    if not params["quark_mass_gev"] > 0:
+        raise ValueError(f"parameter 'quark_mass_gev' must be greater than 0; "
+                         f"got {params['quark_mass_gev']!r}")
     p = _particle(params["particle"])
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["elements"], CGS.c)
@@ -628,12 +633,29 @@ for _exp in [
     EXPERIMENTS[_exp.id] = _exp
 
 
+def _clear_previous_tables(outdir):
+    """Delete the regular files listed as `tables` in the report.json already
+    in `outdir`; a name that is not a bare file name, or is report.json, is kept."""
+    try:
+        names = json.loads((outdir / "report.json").read_text(encoding="utf-8"))["tables"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in names if isinstance(names, list) else []:
+        if not isinstance(name, str) or name == "report.json":
+            continue
+        path = outdir / name
+        if path.name == name and path.is_file() and not path.is_symlink():
+            path.unlink()
+
+
 def run(spec):
-    """Execute one experiment into its directory: the runner's files once it
-    has returned (so a failure writes none of them), then report.json."""
+    """Execute one experiment into its directory: clear the tables of the
+    report.json already there, write the runner's files once it has returned
+    (so a failure writes none of them), then report.json."""
     exp = EXPERIMENTS[spec.id]
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    _clear_previous_tables(outdir)
     start = time.perf_counter()
     error = ""
     claims, tables = [], []

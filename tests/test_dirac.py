@@ -217,3 +217,35 @@ class TestTimeAverage:
         span = float(self.trace.times[-1] - self.trace.times[0])
         with pytest.raises(ValueError, match="quarter"):
             dirac.time_average(self.trace, span / 2)
+
+
+class TestFitTrace:
+    t = np.linspace(0.0, 20.0, 768)
+
+    @pytest.mark.parametrize("omega", [2.0, 2.0024731, 1.37])
+    def test_recovers_noise_free_frequency(self, omega):
+        x = 0.3 - 0.01 * self.t + 0.5 * np.sin(omega * self.t + 0.7)
+        fit = dirac.fit_trace(self.t, x)
+        assert fit.omega == pytest.approx(omega, rel=1e-12)
+        assert fit.amplitude == pytest.approx(0.5, rel=1e-12)
+        assert fit.ok
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_refined_frequency_is_residual_minimum(self, which):
+        packet = mixed_packet()
+        t_max = 6 * 2 * math.pi / packet.zbw_omega
+        trace = dirac.zbw_traces(packet, t_max, 768)[which]
+        fit = trace.fit
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            moved = dirac.fit_trace(trace.times, trace.x_mean, omega=fit.omega * factor)
+            assert moved.rms_residual >= fit.rms_residual
+
+    def test_no_sinusoid(self):
+        fit = dirac.fit_trace(self.t, 0.3 - 0.01 * self.t)
+        assert fit.amplitude < 1e-12
+
+    def test_unresolved_oscillation_rejected(self):
+        # decays within one period: the periodogram peaks in bin 1 and the
+        # refinement walks out of its +-1.5-bin bracket
+        with pytest.raises(ValueError, match="bracket"):
+            dirac.fit_trace(self.t, np.exp(-1.5 * self.t) * np.sin(3 * self.t))

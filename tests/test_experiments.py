@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -88,6 +92,16 @@ class TestRegistry:
         assert report.error.startswith(f"zbw: ValueError: parameter {key!r}")
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_quark_mass_domain_rejected(self, tmp_path, raw):
+        report = experiments.run(experiments.ExperimentSpec(
+            "charge-confinement", {"quark_mass_gev": raw}, tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert report.error.startswith(
+            "charge-confinement: ValueError: parameter 'quark_mass_gev'")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_zbw_periods_above_window_bound_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4.5"},
                                                             tmp_path))
@@ -136,6 +150,42 @@ class TestRun:
         assert report.error == "zbw: RuntimeError: averaging failed"
         assert report.tables == []
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_rerun_clears_previous_tables(self, tmp_path):
+        first = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
+        assert first.status == "pass" and len(first.tables) == 3
+        second = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4"},
+                                                            tmp_path))
+        assert second.error.startswith("zbw: ValueError: parameter 'periods'")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_clear_deletes_only_listed_regular_files(self, tmp_path):
+        outdir = tmp_path / "exp"
+        (outdir / "sub").mkdir(parents=True)
+        for path in [tmp_path / "outside.csv", outdir / "listed.csv",
+                     outdir / "unlisted.csv", outdir / "sub" / "inner.csv"]:
+            path.write_text("x\n", encoding="utf-8")
+        (outdir / "link.csv").symlink_to(tmp_path / "outside.csv")
+        listed = ["listed.csv", "../outside.csv", "sub/inner.csv", "sub", "link.csv",
+                  "report.json", "..", "", 7]
+        (outdir / "report.json").write_text(json.dumps({"tables": listed}),
+                                            encoding="utf-8")
+        report = experiments.run(experiments.ExperimentSpec(
+            "metric-slice", {"lam": "inf"}, outdir))
+        assert report.status == "fail"
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "link.csv", "report.json", "sub", "unlisted.csv"]
+        assert (outdir / "link.csv").is_symlink()
+        assert (outdir / "sub" / "inner.csv").exists()
+        assert (tmp_path / "outside.csv").exists()
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"tables": "abc"}'])
+    def test_unreadable_previous_report_is_ignored(self, tmp_path, text):
+        (tmp_path / "report.json").write_text(text, encoding="utf-8")
+        (tmp_path / "a").write_text("x\n", encoding="utf-8")
+        experiments.run(experiments.ExperimentSpec("metric-slice", {"lam": "inf"},
+                                                   tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "report.json"]
 
     def test_report_round_trip(self, tmp_path):
         report = experiments.run(
@@ -242,6 +292,17 @@ class TestCli:
         assert result.exit_code == 0
         assert "kn-horizon: pass" in result.output
         assert (tmp_path / "kn-horizon" / "horizons.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        # a stray scipy import would put its import time back on every run
+        code = ("import sys, qmbh_lab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_run_unknown_id(self, tmp_path):
         result = CliRunner().invoke(cli.main, ["run", "nope", "--out", str(tmp_path)])
