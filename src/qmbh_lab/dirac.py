@@ -8,7 +8,9 @@ branches makes the mean position oscillate (zitterbewegung) at
     Omega ~ 2 m c^2 / hbar,  amplitude ~ hbar / (2 m c),
 
 and averaging over a Compton time pi hbar / (m c^2) wipes the oscillation
-out; both traces follow in closed form from each mode's Bloch precession.
+out; both traces follow in closed form from each mode's Bloch precession,
+summed over modes by angle addition on the uniform time grid: a coarse and a
+fine trig table joined by real matrix products.
 Everything runs in natural units (hbar = c = m = 1) unless a packet is built
 otherwise.
 """
@@ -17,10 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 @dataclass
 class DiracPacket1D:
@@ -231,7 +229,15 @@ def _bloch_traces(packet, t_max, samples):
     """(times, <x>, <c sigma_x>) in closed form. exp(-iHt/hbar) turns each mode's
     Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et/hbar, so
     <c sigma_x> = c sum [n_x n.s + cos(2Et/hbar)(s_x - n_x n.s) - sin(2Et/hbar) n_z s_y]
-    and <x> is <x>(0) plus its exact time integral (d<x>/dt = <c sigma_x>)."""
+    and <x> is <x>(0) plus its exact time integral (d<x>/dt = <c sigma_x>).
+
+    The samples sit at t = (j b + r) dt with b = isqrt(samples - 1) + 1, j < q =
+    ceil(samples / b) and r < b, so angle addition splits every phase into a
+    coarse angle omega j b dt and a fine one omega r dt (the separable step of
+    non-uniform FFTs; Dutt & Rokhlin 1993). The beat coefficients are rotated by
+    the coarse table, and real (q, n_k) x (n_k, b) products with the fine table
+    give both traces as row-major (j, r) blocks: sin and cos are taken of
+    (q + b) n_k angles, about 2 sqrt(samples) n_k, not samples n_k."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 16:
@@ -245,11 +251,20 @@ def _bloch_traces(packet, t_max, samples):
     beat_cos, beat_sin = cross.real - drift, nz * cross.imag
     omega = 2 * e / packet.hbar
     times = np.linspace(0.0, t_max, samples)
-    phase = np.outer(times, omega)
-    sin, cos = np.sin(phase), np.cos(phase, out=phase)
-    v = drift.sum() + cos @ beat_cos - sin @ beat_sin
-    x = (mean_position(packet) + drift.sum() * times + sin @ (beat_cos / omega)
-         + cos @ (beat_sin / omega) - (beat_sin / omega).sum())
+    dt = times[1] - times[0]
+    b = math.isqrt(samples - 1) + 1
+    q = -(-samples // b)
+    coarse = np.outer(np.arange(q) * b * dt, omega)
+    fine = np.outer(np.arange(b) * dt, omega)
+    sin_c, cos_c = np.sin(coarse), np.cos(coarse, out=coarse)
+    sin_f, cos_f = np.sin(fine).T, np.cos(fine, out=fine).T
+    # real and imaginary parts of (beat_cos + i beat_sin) e^{i omega j b dt}
+    re = cos_c * beat_cos - sin_c * beat_sin
+    im = sin_c * beat_cos + cos_c * beat_sin
+    v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
+    x = (mean_position(packet) + drift.sum() * times
+         + ((re / omega) @ sin_f + (im / omega) @ cos_f).ravel()[:samples]
+         - (beat_sin / omega).sum())
     return times, x, v
 
 

@@ -2,7 +2,8 @@
 
 A particle with amplitude only to hop between neighbouring sites of a chain
 (spacing b, hopping energy A) has dispersion E(k) = E0 - 2A cos(kb) and
-curvature mass m' = hbar^2 / (2 A b^2). Granting it additional nonlocal
+curvature mass m' = hbar^2 / (2 A b^2); the periodic chain is circulant, so its
+spectrum is the DFT of its first row. Granting it additional nonlocal
 amplitude inside a window U produces, after linearization, a constant
 self-interaction term
 
@@ -92,7 +93,7 @@ def analytic_dispersion(spec, k):
 @dataclass(frozen=True)
 class DispersionResult:
     k: np.ndarray
-    energies: np.ndarray          # numeric eigenvalues, ordered to match k
+    energies: np.ndarray          # chain spectrum, one eigenvalue per mode k
     m_prime_fit: float
     m_prime_formula: float
 
@@ -102,19 +103,22 @@ class DispersionResult:
 
 
 def dispersion(spec, fit_window=0.1):
-    """Numeric chain spectrum matched to its k modes, with a curvature-mass fit.
+    """Chain spectrum on its k modes, with a curvature-mass fit.
 
-    Eigenvalues come from dense diagonalization; they are assigned to the
-    analytic mode ordering (degenerate +-k pairs are interchangeable), then
-    E(k) is fit quadratically over |k b| <= fit_window and the curvature is
-    converted to m'_fit = hbar^2 / (d2E/dk2).
+    The periodic chain is circulant, so its eigenvalue on mode k_j = 2 pi j / (N b)
+    is the DFT of its first row at j (Gray, "Toeplitz and Circulant Matrices: A
+    Review", 2006): fftshift puts them in `mode_wavenumbers` order with no dense
+    matrix, sort or assignment. E(k) is then fit quadratically over
+    |k b| <= fit_window and the curvature is converted to
+    m'_fit = hbar^2 / (d2E/dk2).
     """
     k = mode_wavenumbers(spec)
-    analytic = analytic_dispersion(spec, k)
-    numeric = np.linalg.eigvalsh(hamiltonian(spec))
-    order = np.argsort(analytic, kind="stable")
-    energies = np.empty_like(numeric)
-    energies[order] = np.sort(numeric)
+    row = np.zeros(spec.n_sites)
+    row[0], row[1], row[-1] = spec.e0, -spec.a, -spec.a
+    spectrum = np.fft.fftshift(np.fft.fft(row))
+    # a symmetric first row has a real spectrum; the imaginary part is round-off
+    assert np.abs(spectrum.imag).max() <= 1e-12 * np.abs(spectrum).max()
+    energies = spectrum.real
     sel = np.abs(k * spec.b) <= fit_window
     if int(sel.sum()) < 5:
         raise ValueError("fit window contains fewer than 5 modes; enlarge the chain")

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmbh_lab import dirac
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def mixed_packet(sigma=10.0):
@@ -45,7 +48,7 @@ class TestVelocityOperator:
     def test_eigenvalues_are_luminal(self):
         # direct 2x2 diagonalization of c sigma_x
         c = 2.99792458e10
-        vals = np.linalg.eigvalsh(c * dirac.SIGMA_X)
+        vals = np.linalg.eigvalsh(c * SIGMA_X)
         assert vals == pytest.approx([-c, c], rel=1e-15)
 
 
@@ -180,6 +183,48 @@ class TestClosedFormTraces:
         x_ref, v_ref = np.array(x_ref), np.array(v_ref)
         assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
         assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [16, 17, 768, 769, 1000])
+    @pytest.mark.parametrize("kw", [
+        dict(sigma_x=10.0, x0=0.0, p0=0.0, seed=(1, 1)),
+        dict(sigma_x=2.0, x0=-2.0, p0=-0.4, seed=(1 - 0.5j, 0.2 + 1j),
+             mass=2.5, c=1.7, hbar=0.6),
+    ])
+    def test_angle_addition_matches_direct_sum(self, kw, samples):
+        # reference: the full (samples, n_k) phase matrix through np.sin/np.cos
+        # and mat-vecs; square, prime and ragged-last-block sample counts
+        p = dirac.build_gaussian(**kw)
+        t_max = 6 * 2 * math.pi / p.zbw_omega
+        xtrace, vtrace = dirac.zbw_traces(p, t_max, samples)
+        t = np.linspace(0.0, t_max, samples)
+        assert np.array_equal(xtrace.times, t)
+        e = np.hypot(p.c * p.hbar * p.k, p.mass * p.c**2)
+        nx, nz = p.c * p.hbar * p.k / e, p.mass * p.c**2 / e
+        a0, a1 = p.a
+        weight = p.c * p.dk / p.norm()
+        cross = 2 * weight * np.conj(a0) * a1
+        drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
+        beat_cos, beat_sin = cross.real - drift, nz * cross.imag
+        omega = 2 * e / p.hbar
+        phase = np.outer(t, omega)
+        sin, cos = np.sin(phase), np.cos(phase)
+        v_ref = drift.sum() + cos @ beat_cos - sin @ beat_sin
+        x_ref = (dirac.mean_position(p) + drift.sum() * t + sin @ (beat_cos / omega)
+                 + cos @ (beat_sin / omega) - (beat_sin / omega).sum())
+        assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-13 * max(1.0, np.max(np.abs(x_ref)))
+        assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-13
+
+    def test_long_trace_memory_is_bounded(self):
+        # the direct (samples, n_k) sin and cos matrices would take 1.6 GB here
+        p = mixed_packet()
+        tracemalloc.start()
+        try:
+            xtrace, _ = dirac.zbw_traces(p, 6 * 2 * math.pi / p.zbw_omega, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xtrace.x_mean.shape == (100_000,)
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("trace_fn", [dirac.mean_position_trace, dirac.zbw_traces])
     @pytest.mark.parametrize("t_max, samples, match", [

@@ -31,6 +31,16 @@ class TestDispersion:
         analytic = hopping.analytic_dispersion(spec, d.k)
         assert np.max(np.abs(np.sort(d.energies) - np.sort(analytic))) <= 1e-10
 
+    @pytest.mark.parametrize("n_sites", [256, 257, 512])
+    def test_dft_spectrum_matches_dense_eigvalsh(self, n_sites):
+        spec = hopping.ChainSpec(n_sites, 0.3, 1.4, 0.7)
+        d = hopping.dispersion(spec)
+        dense = np.linalg.eigvalsh(hopping.hamiltonian(spec))
+        assert np.max(np.abs(np.sort(d.energies) - dense)) <= 1e-12
+        # each DFT eigenvalue sits on its own mode, with no reordering
+        analytic = hopping.analytic_dispersion(spec, d.k)
+        assert np.max(np.abs(d.energies - analytic)) <= 1e-12
+
     def test_symmetry_and_minimum(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
