@@ -13,11 +13,19 @@ Evolution is free (no potential) and exact on a periodic grid: the kinetic
 phases of the steps compose,
 exp(-i hbar k^2 dt/2m)^s = exp(-i hbar k^2 s dt/2m), so `steps` steps of
 dt are one FFT pair (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
-1982). Potentials are not evolved; Q + V is only evaluated on a given
-state. Grids default to natural units hbar = m = 1; the thin-ring particle
-model at the bottom of the module is the one CGS-facing piece.
+1982). The phase is separable, exp(-i c (kx^2 + ky^2)) = p(kx) p(ky), so it
+is the outer product of n one-dimensional exponentials; a Gaussian state is
+likewise the outer product of its 1-D envelope-times-plane-wave factors.
+Fields that are real (R, and the fluxes rho v) are differentiated with
+real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
+849, 1987). The velocity v of a `MadelungFields` is computed from S on
+first read, since the circulation and Q never need it. Potentials are not
+evolved; Q + V is only evaluated on a given state. Grids default to natural
+units hbar = m = 1; the thin-ring particle model at the bottom of the module
+is the one CGS-facing piece.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -69,9 +77,9 @@ class WaveGrid2D:
 def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar=1.0):
     """Normalized Gaussian |psi|^2 ~ exp(-r^2/(2 sigma^2)), optionally plane-wave boosted."""
     x = (np.arange(n) - n // 2) * dx
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    envelope = np.exp(-((X - center[0]) ** 2 + (Y - center[1]) ** 2) / (4 * sigma**2))
-    psi = envelope * np.exp(1j * (k[0] * X + k[1] * Y))
+    fx, fy = (np.exp(-((x - c) ** 2) / (4 * sigma**2) + 1j * kc * x)
+              for c, kc in zip(center, k))
+    psi = np.outer(fx, fy)
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx**2)
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
@@ -86,19 +94,21 @@ def vortex_state(n, dx, core_radius, winding=1, mass=1.0, hbar=1.0):
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
 
-def _wavenumbers(n, dx):
-    """Angular wavenumber grids KX, KY of an n x n periodic grid, FFT order."""
-    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    return np.meshgrid(k, k, indexing="ij")
+def _half_wavenumbers(n, dx):
+    """Angular wavenumbers of the rfft2 half spectrum of an n x n grid: kx as
+    an (n, 1) column in FFT order, ky as a (1, n//2 + 1) row."""
+    kx = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    ky = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
+    return kx[:, None], ky[None, :]
 
 
 def evolve(grid, dt, steps):
     """Free evolution for `steps` steps of size dt: one exact k-space phase."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    KX, KY = _wavenumbers(grid.n, grid.dx)
-    phase = np.exp(-0.5j * grid.hbar * (KX**2 + KY**2) * (steps * dt) / grid.mass)
-    psi = np.fft.ifft2(phase * np.fft.fft2(grid.psi))
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    p = np.exp(-0.5j * grid.hbar * k**2 * (steps * dt) / grid.mass)
+    psi = np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi))
     return WaveGrid2D(psi, grid.dx, mass=grid.mass, hbar=grid.hbar)
 
 
@@ -108,12 +118,12 @@ class MadelungFields:
 
     S is stored modulo `phase_period` at each node (2*pi for fields coming
     from a single-valued psi; pi for directly constructed two-sheeted
-    fields). v has shape (2, N, N): x-component first.
+    fields). v = (hbar/m) grad S has shape (2, N, N), x-component first, and
+    is computed on first read.
     """
 
     R: np.ndarray
     S: np.ndarray
-    v: np.ndarray
     node_mask: np.ndarray
     dx: float
     mass: float = 1.0
@@ -126,6 +136,11 @@ class MadelungFields:
 
     def density(self):
         return self.R**2
+
+    @functools.cached_property
+    def v(self):
+        return (self.hbar / self.mass) * _wrapped_gradient(self.S, self.dx,
+                                                           self.phase_period)
 
 
 def _wrap_centered(delta, period):
@@ -160,8 +175,7 @@ def decompose(grid):
     R = amp
     S = np.angle(grid.psi)
     mask = R < NODE_MASK_RELATIVE_THRESHOLD * peak
-    v = (grid.hbar / grid.mass) * _wrapped_gradient(S, grid.dx, 2 * math.pi)
-    return MadelungFields(R=R, S=S, v=v, node_mask=mask, dx=grid.dx,
+    return MadelungFields(R=R, S=S, node_mask=mask, dx=grid.dx,
                           mass=grid.mass, hbar=grid.hbar)
 
 
@@ -172,14 +186,28 @@ def synthetic_fields(R, S, dx, mass=1.0, hbar=1.0, phase_period=2 * math.pi):
     if R.shape != S.shape:
         raise ValueError("R and S must share a shape")
     mask = R < NODE_MASK_RELATIVE_THRESHOLD * float(R.max())
-    v = (hbar / mass) * _wrapped_gradient(S, dx, phase_period)
-    return MadelungFields(R=R, S=S, v=v, node_mask=mask, dx=dx, mass=mass,
+    return MadelungFields(R=R, S=S, node_mask=mask, dx=dx, mass=mass,
                           hbar=hbar, phase_period=phase_period)
 
 
 def _spectral_laplacian(field, dx):
-    KX, KY = _wavenumbers(field.shape[0], dx)
-    return np.real(np.fft.ifft2(-(KX**2 + KY**2) * np.fft.fft2(field)))
+    """Laplacian of a real periodic grid by real FFTs."""
+    kx, ky = _half_wavenumbers(field.shape[0], dx)
+    return np.fft.irfft2(-(kx**2 + ky**2) * np.fft.rfft2(field), s=field.shape)
+
+
+def _spectral_divergence(fx, fy, dx):
+    """d(fx)/dx + d(fy)/dy of real periodic grids by real FFTs.
+
+    The x Nyquist row is zeroed, as taking the real part of the full complex
+    transform does implicitly (the Nyquist wavenumber is its own negative,
+    and i kx is odd); irfft2 drops the y Nyquist column by itself.
+    """
+    n = fx.shape[0]
+    kx, ky = _half_wavenumbers(n, dx)
+    kx[n // 2] = 0.0
+    spectrum = 1j * (kx * np.fft.rfft2(fx) + ky * np.fft.rfft2(fy))
+    return np.fft.irfft2(spectrum, s=fx.shape)
 
 
 def quantum_potential(fields):
@@ -243,16 +271,20 @@ def circulation(fields, loop):
     field's phase period, so gamma = (hbar/m) * sum of local dS. half_quanta
     is m*gamma/(pi*hbar) together with its nearest integer and residual.
     """
-    n = fields.n
-    for (i, j) in loop.nodes:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"loop node ({i}, {j}) outside the grid")
-        if fields.node_mask[i, j]:
-            raise ValueError(f"loop crosses a masked node at ({i}, {j})")
-    total = 0.0
-    for (i0, j0), (i1, j1) in loop.segments():
-        delta = float(fields.S[i1, j1] - fields.S[i0, j0])
-        total += float(_wrap_centered(np.float64(delta), fields.phase_period))
+    nodes = np.array(loop.nodes)
+    outside = ((nodes < 0) | (nodes >= fields.n)).any(axis=1)
+    if outside.any():
+        i, j = loop.nodes[int(np.argmax(outside))]
+        raise ValueError(f"loop node ({i}, {j}) outside the grid")
+    masked = fields.node_mask[nodes[:, 0], nodes[:, 1]]
+    if masked.any():
+        i, j = loop.nodes[int(np.argmax(masked))]
+        raise ValueError(f"loop crosses a masked node at ({i}, {j})")
+    s = fields.S[nodes[:, 0], nodes[:, 1]]
+    deltas = _wrap_centered(np.roll(s, -1) - s, fields.phase_period)
+    # left to right in loop order: np.sum's pairwise order would move the
+    # last bits of gamma
+    total = sum(deltas.tolist(), 0.0)
     gamma = (fields.hbar / fields.mass) * total
     half_quanta = fields.mass * gamma / (math.pi * fields.hbar)
     nearest = int(round(half_quanta))
@@ -271,9 +303,7 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     rho = f.density()
     vx = np.where(f.node_mask, 0.0, f.v[0])
     vy = np.where(f.node_mask, 0.0, f.v[1])
-    KX, KY = _wavenumbers(grid_center.n, grid_center.dx)
-    div = np.real(np.fft.ifft2(1j * KX * np.fft.fft2(rho * vx))
-                  + np.fft.ifft2(1j * KY * np.fft.fft2(rho * vy)))
+    div = _spectral_divergence(rho * vx, rho * vy, grid_center.dx)
     residual = rho_dot + div
     scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
     return float(np.sqrt(np.mean(residual**2))) / scale

@@ -163,9 +163,15 @@ def _run_constants_report(params):
 def _run_bohm_vortex(params):
     n = params["grid"]
     dx = params["dx"]
-    if n < 128:
-        raise ValueError(f"parameter 'grid' must be at least 128: the outer loop "
-                         f"reaches 50 sites from the centre; got {n}")
+    # the outer loop reaches 50 sites from the centre; 2048^2 complex128 is
+    # 64 MiB per array
+    if not (128 <= n <= 2048 and n & (n - 1) == 0):
+        raise ValueError(f"parameter 'grid' must be a power of two in "
+                         f"[128, 2048]; got {n}")
+    for key in ("dx", "profile_tol"):
+        if not params[key] > 0:
+            raise ValueError(f"parameter {key!r} must be greater than 0; "
+                             f"got {params[key]!r}")
     grid = bohm.vortex_state(n, dx, core_radius=2 * dx)
     f = bohm.decompose(grid)
     c0 = n // 2
@@ -206,16 +212,11 @@ def _run_bohm_vortex(params):
     continuity = bohm.continuity_residual(before, mid, after, dt)
 
     # stationary harmonic state: Q + V constant at E
-    l_box = 16.0
-    dxh = l_box / n
-    xh = (np.arange(n) - n // 2) * dxh
-    XH, YH = np.meshgrid(xh, xh, indexing="ij")
-    psi = np.exp(-(XH**2 + YH**2) / 2).astype(complex)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dxh**2)
-    gh = bohm.WaveGrid2D(psi, dxh)
+    gh = bohm.gaussian_state(n, 16.0 / n, sigma=math.sqrt(0.5))
     fh = bohm.decompose(gh)
     q = bohm.quantum_potential(fh)
-    total = q + (XH**2 + YH**2) / 2
+    xh = gh.axis()
+    total = q + np.add.outer(xh**2, xh**2) / 2
     q_std = float(total[~fh.node_mask].std())
 
     snapshot, sidecar = bohm.encode_field(f.R, dx, label="vortex amplitude R")

@@ -36,6 +36,19 @@ class TestWaveGrid:
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
         assert g.norm() == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("center, k", [((0.0, 0.0), (0.0, 0.0)),
+                                           ((-1.3, 0.7), (1.0, -0.5))])
+    def test_separable_gaussian_matches_2d_form(self, center, k):
+        # reference: the envelope and plane wave evaluated on the 2-D mesh
+        n, dx, sigma = 128, 0.15, 1.1
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        psi = (np.exp(-((X - center[0]) ** 2 + (Y - center[1]) ** 2) / (4 * sigma**2))
+               * np.exp(1j * (k[0] * X + k[1] * Y)))
+        psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx**2)
+        g = bohm.gaussian_state(n, dx, sigma, center=center, k=k)
+        assert np.max(np.abs(g.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
+
 
 class TestEvolve:
     def test_free_gaussian_norm_conservation(self):
@@ -91,6 +104,20 @@ class TestEvolve:
             spread = float(((coord - centroid) ** 2 * rho).sum())
             assert spread == pytest.approx(variance, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("steps", [0, 1, 400])
+    def test_separable_phase_matches_2d_exp(self, n, steps):
+        # reference: the kinetic phase as n^2 exponentials on the 2-D k mesh
+        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5), mass=1.3,
+                                hbar=0.8)
+        dt = 5e-4
+        k = 2 * np.pi * np.fft.fftfreq(n, d=g.dx)
+        KX, KY = np.meshgrid(k, k, indexing="ij")
+        phase = np.exp(-0.5j * g.hbar * (KX**2 + KY**2) * (steps * dt) / g.mass)
+        psi = np.fft.ifft2(phase * np.fft.fft2(g.psi))
+        out = bohm.evolve(g, dt, steps)
+        assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
+
     def test_rejects_negative_steps(self):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
         with pytest.raises(ValueError, match="non-negative"):
@@ -136,6 +163,30 @@ class TestDecompose:
         back = f.R * np.exp(1j * f.S)
         assert np.max(np.abs(back - g.psi)) <= 1e-12 * np.max(np.abs(g.psi))
 
+    def test_velocity_is_computed_on_first_read(self):
+        g = bohm.gaussian_state(128, 0.2, sigma=1.0, k=(0.7, -0.4), mass=2.0,
+                                hbar=0.5)
+        f = bohm.decompose(g)
+        assert "v" not in f.__dict__
+        bohm.quantum_potential(f)
+        assert "v" not in f.__dict__
+        expected = (0.5 / 2.0) * bohm._wrapped_gradient(f.S, f.dx, 2 * math.pi)
+        assert np.array_equal(f.v, expected)
+        assert f.__dict__["v"] is f.v
+
+    def test_synthetic_velocity_uses_phase_period(self):
+        n, dx = 128, 0.1
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        S = 0.5 * np.arctan2(Y, X)
+        f = bohm.synthetic_fields(np.ones((n, n)), S, dx, mass=3.0, hbar=1.5,
+                                  phase_period=math.pi)
+        assert "v" not in f.__dict__
+        c = n // 2
+        bohm.circulation(f, bohm.LoopPath.rectangle(c - 20, c - 20, c + 20, c + 20))
+        assert "v" not in f.__dict__
+        assert np.array_equal(f.v, 0.5 * bohm._wrapped_gradient(S, dx, math.pi))
+
     def test_zero_field_rejected(self):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
         g.psi[:] = 0.0
@@ -170,6 +221,45 @@ class TestQuantumPotential:
         g = bohm.gaussian_state(256, 16.0 / 256, sigma=sigma)
         q = bohm.quantum_potential(bohm.decompose(g))
         assert q[128, 128] == pytest.approx(1 / (2 * sigma**2), rel=0.01)
+
+
+def complex_fft_derivatives(field, dx):
+    """Reference: (Laplacian, d/dx, d/dy) of a real periodic grid as the real
+    part of full complex FFT pairs."""
+    k = 2 * np.pi * np.fft.fftfreq(field.shape[0], d=dx)
+    KX, KY = np.meshgrid(k, k, indexing="ij")
+    spectrum = np.fft.fft2(field)
+    return tuple(np.real(np.fft.ifft2(factor * spectrum))
+                 for factor in (-(KX**2 + KY**2), 1j * KX, 1j * KY))
+
+
+class TestRealTransforms:
+    def real_fields(self, n):
+        rng = np.random.default_rng(n)
+        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
+        f = bohm.decompose(g)
+        # smooth fluxes as the continuity check sees them, and white noise,
+        # which fills the Nyquist row and column
+        return [(f.R, f.R * f.v[0], f.R * f.v[1]),
+                tuple(rng.standard_normal((3, n, n)))]
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_laplacian_matches_complex_fft(self, n):
+        dx = 40.0 / n
+        for field, _, _ in self.real_fields(n):
+            ref, _, _ = complex_fft_derivatives(field, dx)
+            lap = bohm._spectral_laplacian(field, dx)
+            assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_divergence_matches_complex_fft(self, n):
+        dx = 40.0 / n
+        for _, fx, fy in self.real_fields(n):
+            _, dfx, _ = complex_fft_derivatives(fx, dx)
+            _, _, dfy = complex_fft_derivatives(fy, dx)
+            div = bohm._spectral_divergence(fx, fy, dx)
+            scale = max(np.max(np.abs(dfx)), np.max(np.abs(dfy)))
+            assert np.max(np.abs(div - (dfx + dfy))) <= 1e-12 * scale
 
 
 class TestCirculation:
@@ -219,6 +309,35 @@ class TestCirculation:
         # oracle: analytic loop integral of grad(phi/2) is pi
         assert res.gamma == pytest.approx(math.pi, abs=1e-3)
         assert res.half_quanta == pytest.approx(1.0, abs=1e-3)
+
+    def test_matches_segment_sum_bit_for_bit(self):
+        # reference: the per-segment loop, one wrapped difference at a time
+        def segment_sum(fields, loop):
+            total = 0.0
+            for (i0, j0), (i1, j1) in loop.segments():
+                delta = float(fields.S[i1, j1] - fields.S[i0, j0])
+                total += float(bohm._wrap_centered(np.float64(delta),
+                                                   fields.phase_period))
+            return (fields.hbar / fields.mass) * total
+
+        n, dx, c = self.n, self.dx, self.center
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        half = bohm.synthetic_fields(np.ones((n, n)), 0.5 * np.arctan2(Y, X), dx,
+                                     phase_period=math.pi)
+        loops = [bohm.LoopPath.rectangle(c - 10, c - 10, c + 10, c + 10),
+                 bohm.LoopPath.rectangle(c - 25, c - 20, c + 18, c + 24),
+                 bohm.LoopPath.rectangle(c - 50, c - 50, c + 50, c + 50),
+                 bohm.LoopPath.rectangle(c + 10, c + 10, c + 40, c + 40)]
+        for fields in (self.fields, half):
+            for loop in loops:
+                assert bohm.circulation(fields, loop).gamma == segment_sum(fields, loop)
+
+    @pytest.mark.parametrize("corner", [-1, 250])
+    def test_node_outside_grid_rejected(self, corner):
+        loop = bohm.LoopPath.rectangle(corner, 100, corner + 10, 110)
+        with pytest.raises(ValueError, match="outside the grid"):
+            bohm.circulation(self.fields, loop)
 
     def test_masked_node_rejected(self):
         c = self.center  # vortex core sits at the center node, R = 0 there

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,26 @@ class TestBohmVortex:
         assert report.claims == []
         assert report.error.startswith("bohm-vortex: ValueError: parameter 'grid'")
         assert not (tmp_path / "vortex_R.grid").exists()
+
+    @pytest.mark.parametrize("key, raw", [
+        ("grid", "200"),
+        ("grid", "4096"),
+        ("dx", "0"),
+        ("dx", "-0.1"),
+        ("profile_tol", "0"),
+        ("profile_tol", "-1"),
+    ])
+    def test_domain_rejected(self, tmp_path, key, raw):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = experiments.run(experiments.ExperimentSpec(
+                "bohm-vortex", {key: raw}, tmp_path))
+        assert report.status == "fail"
+        assert report.claims == []
+        assert report.error.startswith(
+            f"bohm-vortex: ValueError: parameter {key!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_smallest_grid_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec(
