@@ -59,9 +59,6 @@ class DiracPacket1D:
     def norm(self):
         return float(np.sum(np.abs(self.a) ** 2) * self.dk)
 
-    def branch_energy(self):
-        return np.hypot(self.c * self.hbar * self.k, self.mass * self.c**2)
-
 
 def build_gaussian(sigma_x, x0, p0, seed, n_k=1024, span=8.0, mass=1.0, c=1.0, hbar=1.0):
     """Gaussian packet a(k) ~ seed exp(-sigma_x^2 (k - p0/hbar)^2) e^{-i k x0}.
@@ -306,20 +303,6 @@ def time_average(trace, T):
     times = t[half:t.size - half]
     fit = fit_trace(times, averaged, omega=trace.fit.omega)
     return ZbwTrace(times=times, x_mean=averaged, fit=fit)
-
-
-def interference_overlap(packet, t):
-    """Integral of the branch cross-density 2 Re(psi_A psi_S*): zero by orthogonality."""
-    moved = evolved(packet, t)
-    hx, hz, e = _hamiltonian_fields(moved)
-    nx, nz = hx / e, hz / e
-    a0, a1 = moved.a
-    p0 = 0.5 * ((1 + nz) * a0 + nx * a1)
-    p1 = 0.5 * (nx * a0 + (1 - nz) * a1)
-    m0 = 0.5 * ((1 - nz) * a0 - nx * a1)
-    m1 = 0.5 * (-nx * a0 + (1 + nz) * a1)
-    val = np.sum(np.conj(m0) * p0 + np.conj(m1) * p1) * moved.dk
-    return 2 * float(np.real(val))
 
 
 def to_position(packet):

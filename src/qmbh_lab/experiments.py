@@ -94,10 +94,32 @@ class ExperimentReport:
 
 
 @dataclass(frozen=True)
+class Param:
+    """A parameter's default and its domain: the interval from `lo` to `hi`
+    (`lo` excluded when `lo_open`) or the set `choices`. The one parameter
+    with neither, `widths`, is checked by `_scan_widths`."""
+    default: object
+    lo: float = None
+    hi: float = None
+    lo_open: bool = False
+    choices: tuple = None
+
+    def contains(self, value):
+        if self.choices is not None:
+            return value in self.choices
+        return (self.lo < value if self.lo_open else self.lo <= value) and value <= self.hi
+
+    def domain(self):
+        if self.choices is not None:
+            return "one of " + ", ".join(map(repr, self.choices))
+        return f"in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"
+
+
+@dataclass(frozen=True)
 class Experiment:
     id: str
     description: str
-    defaults: dict
+    params: dict
     runner: object = field(repr=False)
 
 
@@ -112,25 +134,27 @@ def _coerce(default, raw, key):
 
 
 def resolve_parameters(exp, given):
-    params = dict(exp.defaults)
+    """Defaults overlaid with `given`, coerced to the defaults' types; every
+    value, defaults included, is checked against its declared domain."""
+    params = {key: p.default for key, p in exp.params.items()}
     for key, raw in given.items():
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for experiment {exp.id!r}")
         params[key] = _coerce(params[key], raw, key)
+    for key, p in exp.params.items():
+        if p.choices is None and p.lo is None:
+            _scan_widths(params[key])
+        elif not p.contains(params[key]):
+            raise ValueError(f"parameter {key!r} must be {p.domain()}; "
+                             f"got {params[key]!r}")
     return params
-
-
-def _particle(name):
-    if name not in BUILTIN_PARTICLES:
-        raise ValueError(f"unknown particle {name!r}")
-    return BUILTIN_PARTICLES[name]
 
 
 # --------------------------------------------------------------------------
 # runners: params -> (claims, {file name: (header, rows) or bytes})
 
 def _run_constants_report(params):
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     claims = list(coupling_identities(p))
     claims.append(RatioCheck.relative("charge-to-gravity-magnitude",
                                       p.charge**2 / (CGS.G * p.mass**2),
@@ -163,15 +187,6 @@ def _run_constants_report(params):
 def _run_bohm_vortex(params):
     n = params["grid"]
     dx = params["dx"]
-    # the outer loop reaches 50 sites from the centre; 2048^2 complex128 is
-    # 64 MiB per array
-    if not (128 <= n <= 2048 and n & (n - 1) == 0):
-        raise ValueError(f"parameter 'grid' must be a power of two in "
-                         f"[128, 2048]; got {n}")
-    for key in ("dx", "profile_tol"):
-        if not params[key] > 0:
-            raise ValueError(f"parameter {key!r} must be greater than 0; "
-                             f"got {params[key]!r}")
     grid = bohm.vortex_state(n, dx, core_radius=2 * dx)
     f = bohm.decompose(grid)
     c0 = n // 2
@@ -242,7 +257,7 @@ def _run_bohm_vortex(params):
 
 
 def _run_ring_model(params):
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     m1 = bohm.ring_model(1, p.mass)
     m2 = bohm.ring_model(2, p.mass)
     checks1 = bohm.ring_quadrature_checks(m1)
@@ -347,16 +362,6 @@ def _run_dispersion_vs_relativity(params):
 
 
 def _run_zbw(params):
-    # time_average's window, one zbw period, is under a quarter of the trace
-    # only for periods > 4
-    for key, low in [("sigma", 0), ("periods", 4), ("omega_tol", 0),
-                     ("suppress_factor", 0)]:
-        if not params[key] > low:
-            raise ValueError(f"parameter {key!r} must be greater than {low}; "
-                             f"got {params[key]!r}")
-    if params["samples"] < 16:
-        raise ValueError(f"parameter 'samples' must be at least 16; "
-                         f"got {params['samples']!r}")
     packet = dirac.build_gaussian(sigma_x=params["sigma"], x0=0.0, p0=0.0, seed=(1, 1))
     omega0 = packet.zbw_omega
     t_max = params["periods"] * 2 * math.pi / omega0
@@ -395,11 +400,11 @@ def _scan_widths(raw):
         widths = [float(w) for w in str(raw).split(":")]
     except ValueError as exc:
         raise ValueError(f"invalid value {raw!r} for parameter 'widths'") from exc
-    if not (all(math.isfinite(w) and w > 0 for w in widths)
+    if not (len(widths) <= 64 and all(0.01 <= w <= 1e4 for w in widths)
             and all(a < b for a, b in zip(widths, widths[1:]))
             and {1.0, 100.0} <= set(widths)):
-        raise ValueError(f"parameter 'widths' must be finite, positive, strictly "
-                         f"increasing and include 1 and 100; got {raw!r}")
+        raise ValueError(f"parameter 'widths' must be at most 64 strictly increasing "
+                         f"widths in [0.01, 1e4] that include 1 and 100; got {raw!r}")
     return widths
 
 
@@ -431,15 +436,13 @@ def _run_neg_energy_scan(params):
 
 
 def _run_kn_horizon(params):
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     kp = kerr_newman.KNParams.from_particle(p)
     hz = kerr_newman.horizons(kp)
 
     rows = []
-    for name, part in BUILTIN_PARTICLES.items():
-        if part.mass <= 0:
-            continue
-        kpp = kerr_newman.KNParams.from_particle(part)
+    for name in MASSIVE:
+        kpp = kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES[name])
         hh = kerr_newman.horizons(kpp)
         rows.append([name, kpp.m_star, kpp.a_star, kpp.q_star,
                      hh.r_plus.real, hh.r_plus.imag, str(hh.naked)])
@@ -466,7 +469,7 @@ def _run_kn_horizon(params):
 
 
 def _run_kn_fields(params):
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     kp = kerr_newman.KNParams.from_particle(p)
     r = params["r"]
     thetas = np.linspace(0.05, math.pi - 0.05, 41)
@@ -521,7 +524,7 @@ def _run_metric_slice(params):
 
 
 def _run_shell_spin(params):
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["ring_elements"], CGS.c)
     ring2 = lin_gravity.ShellSource.ring(p.mass, 2 * radius, params["ring_elements"],
@@ -558,10 +561,7 @@ def _run_shell_spin(params):
 
 
 def _run_charge_confinement(params):
-    if not params["quark_mass_gev"] > 0:
-        raise ValueError(f"parameter 'quark_mass_gev' must be greater than 0; "
-                         f"got {params['quark_mass_gev']!r}")
-    p = _particle(params["particle"])
+    p = BUILTIN_PARTICLES[params["particle"]]
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["elements"], CGS.c)
     claims = list(lin_gravity.charge_estimate(ring, p))
@@ -593,43 +593,62 @@ def _run_charge_confinement(params):
     }
 
 
+# The particle experiments take the massive catalog entries: the Compton
+# scales, shell radii and horizon widths all divide by the mass.
+MASSIVE = tuple(name for name, p in BUILTIN_PARTICLES.items() if p.mass > 0)
+PARTICLE = Param("electron", choices=MASSIVE)
+# hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
+SITES, LENGTH, ELEMENTS = (128, 4096), (1e-3, 1e3), (16, 1 << 14)
+
 EXPERIMENTS = {}
 for _exp in [
     Experiment("constants-report",
                "coupling, charge-gravity, and shell-identity ratio checks",
-               {"particle": "electron"}, _run_constants_report),
+               {"particle": PARTICLE}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
-               {"grid": 256, "dx": 0.1, "profile_tol": 0.02}, _run_bohm_vortex),
+               # the outer loop reaches 50 sites from the centre; 2048^2
+               # complex128 is 64 MiB per array
+               {"grid": Param(256, choices=(128, 256, 512, 1024, 2048)),
+                "dx": Param(0.1, *LENGTH), "profile_tol": Param(0.02, 0, 1, True)},
+               _run_bohm_vortex),
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",
-               {"particle": "electron"}, _run_ring_model),
+               {"particle": PARTICLE}, _run_ring_model),
     Experiment("hopping-dispersion", "chain spectrum and curvature mass fit",
-               {"sites": 256, "b": 0.3, "e0": 1.4, "a": 0.7},
+               {"sites": Param(256, *SITES), "b": Param(0.3, *LENGTH),
+                "e0": Param(1.4, -1e3, 1e3), "a": Param(0.7, *LENGTH)},
                _run_hopping_dispersion),
     Experiment("emergent-mass", "self-consistent window mass fixed point",
-               {"sites": 512, "b": 0.25, "a": 0.9}, _run_emergent_mass),
+               {"sites": Param(512, *SITES), "b": Param(0.25, *LENGTH),
+                "a": Param(0.9, *LENGTH)}, _run_emergent_mass),
     Experiment("dispersion-vs-relativity",
                "quadratic-plus-rest spectrum against the relativistic energy",
-               {"sites": 512, "b": 0.25, "a": 0.9, "p_max_frac": 0.1},
+               {"sites": Param(512, *SITES), "b": Param(0.25, *LENGTH),
+                "a": Param(0.9, *LENGTH), "p_max_frac": Param(0.1, 0, 1, True)},
                _run_dispersion_vs_relativity),
     Experiment("zbw", "zitterbewegung frequency, amplitude, and averaging",
-               {"sigma": 10.0, "periods": 6.0, "samples": 768, "omega_tol": 0.05,
-                "suppress_factor": 10.0}, _run_zbw),
+               # time_average's window, one zbw period, is under a quarter of
+               # the trace only for periods > 4
+               {"sigma": Param(10.0, 1, 1e3), "periods": Param(6.0, 4, 64, True),
+                "samples": Param(768, 256, 4096), "omega_tol": Param(0.05, 0, 1, True),
+                "suppress_factor": Param(10.0, 0, 1e6, True)}, _run_zbw),
     Experiment("neg-energy-scan", "negative-branch weight versus packet width",
-               {"widths": "0.5:1:2:5:10:100"}, _run_neg_energy_scan),
+               {"widths": Param("0.5:1:2:5:10:100")}, _run_neg_energy_scan),
     Experiment("kn-horizon", "complex horizon roots and the naked predicate",
-               {"particle": "electron"}, _run_kn_horizon),
+               {"particle": PARTICLE}, _run_kn_horizon),
     Experiment("kn-fields", "far-zone multipoles, g = 2, divergence-free dipole",
-               {"particle": "electron", "r": 1.0}, _run_kn_fields),
+               # the far zone starts at 100 a* = 1.9e-9 cm for the electron
+               {"particle": PARTICLE, "r": Param(1.0, 1e-8, 1e8)}, _run_kn_fields),
     Experiment("metric-slice", "corotating slice coefficients and azimuthal doubling",
-               {"a": 1.0, "eps": 1e-8, "lam": 0.5}, _run_metric_slice),
+               {"a": Param(1.0, 1e-6, 1e6), "eps": Param(1e-8, 0, 1),
+                "lam": Param(0.5, 0.01, 1)}, _run_metric_slice),
     Experiment("shell-spin", "ring/shell spin and far-potential quadrature",
-               {"particle": "electron", "ring_elements": 1024,
-                "sphere_elements": 10000}, _run_shell_spin),
+               {"particle": PARTICLE, "ring_elements": Param(1024, *ELEMENTS),
+                "sphere_elements": Param(10000, *ELEMENTS)}, _run_shell_spin),
     Experiment("charge-confinement",
                "charge magnitude arithmetic and the Coulomb-plus-linear fit",
-               {"particle": "electron", "elements": 1024, "quark_mass_gev": 1.8},
-               _run_charge_confinement),
+               {"particle": PARTICLE, "elements": Param(1024, *ELEMENTS),
+                "quark_mass_gev": Param(1.8, 1e-3, 1e3)}, _run_charge_confinement),
 ]:
     EXPERIMENTS[_exp.id] = _exp
 
@@ -697,7 +716,7 @@ def run_all(out_root, overrides=None, only=None):
     params = {exp_id: {} for exp_id in ids}
     for key, value in overrides.items():
         prefix, _, name = key.partition(".")
-        if prefix not in EXPERIMENTS or not name:
+        if prefix not in EXPERIMENTS or name not in EXPERIMENTS[prefix].params:
             raise ValueError(f"override {key!r} is not "
                              f"`<registered experiment id>.<parameter>`")
         if prefix in params:

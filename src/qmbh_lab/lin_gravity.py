@@ -152,40 +152,6 @@ def shell_trace_a0(s, r_values, constants=CGS):
     return a0, slope, float(a0[-1] * r_values[-1])
 
 
-def christoffel_potential(h, spacings, dhdt=None, hbar=1.0):
-    """A_mu = hbar * d_mu log sqrt|det(eta + h)| on a grid of 4x4 perturbations.
-
-    `h` has shape (*grid, 4, 4); `spacings` matches the grid axes. Spatial
-    components use np.gradient; the time component needs `dhdt` (same shape)
-    and is 0.5 * hbar * tr(g^-1 dh/dt). Rejects |h| >= 0.1 anywhere.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-2:] != (4, 4):
-        raise ValueError("h must have shape (*grid, 4, 4)")
-    if float(np.max(np.abs(h))) >= 0.1:
-        raise ValueError("perturbation too large for the linearized domain (|h| >= 0.1)")
-    grid_ndim = h.ndim - 2
-    if len(spacings) != grid_ndim:
-        raise ValueError("one spacing per grid axis required")
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    g = eta + h
-    det = np.linalg.det(g)
-    log_sqrt = 0.5 * np.log(np.abs(det))
-    if grid_ndim == 0:
-        spatial = []
-    elif grid_ndim == 1:
-        spatial = [hbar * np.gradient(log_sqrt, spacings[0])]
-    else:
-        spatial = [hbar * d for d in
-                   np.gradient(log_sqrt, *spacings, axis=tuple(range(grid_ndim)))]
-    a_time = None
-    if dhdt is not None:
-        dhdt = np.asarray(dhdt, dtype=np.float64)
-        g_inv = np.linalg.inv(g)
-        a_time = 0.5 * hbar * np.einsum("...ij,...ji->...", g_inv, dhdt)
-    return {"time": a_time, "spatial": spatial}
-
-
 @dataclass(frozen=True)
 class WeylFields:
     phi: np.ndarray

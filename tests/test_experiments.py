@@ -103,6 +103,45 @@ class TestRegistry:
             "charge-confinement: ValueError: parameter 'quark_mass_gev'")
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("exp_id, key, raw", [
+        ("hopping-dispersion", "sites", "8"),
+        ("hopping-dispersion", "sites", "64"),
+        ("hopping-dispersion", "sites", "100000000"),  # rejected before allocating
+        ("hopping-dispersion", "b", "1e-300"),
+        ("emergent-mass", "sites", "16"),
+        ("emergent-mass", "b", "1e-300"),
+        ("dispersion-vs-relativity", "p_max_frac", "-1"),
+        ("zbw", "sigma", "1e-300"),
+        ("charge-confinement", "quark_mass_gev", "1e-300"),
+        ("kn-fields", "r", "0"),
+        ("shell-spin", "ring_elements", "2"),
+        ("metric-slice", "a", "-1"),
+        ("metric-slice", "eps", "-1"),
+        ("metric-slice", "lam", "0"),
+    ] + [(exp_id, "particle", "neutrino") for exp_id in [
+        "constants-report", "ring-model", "kn-horizon", "kn-fields", "shell-spin",
+        "charge-confinement"]])
+    def test_value_outside_domain_rejected(self, tmp_path, exp_id, key, raw):
+        report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
+                                                            tmp_path))
+        assert report.error.startswith(f"{exp_id}: ValueError: parameter {key!r}")
+        assert report.claims == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("exp_id", REGISTERED_IDS)
+    def test_defaults_lie_in_their_domains(self, exp_id):
+        exp = experiments.EXPERIMENTS[exp_id]
+        for key, p in exp.params.items():
+            if p.choices is None and p.lo is None:
+                experiments._scan_widths(p.default)
+            else:
+                assert p.contains(p.default), key
+        assert experiments.resolve_parameters(exp, {}) == {
+            key: p.default for key, p in exp.params.items()}
+
+    def test_particle_domain_is_the_massive_catalog(self):
+        assert experiments.MASSIVE == ("electron", "proton", "muon", "charm")
+
     def test_zbw_periods_above_window_bound_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4.5"},
                                                             tmp_path))
@@ -250,7 +289,7 @@ class TestRunAll:
         assert by_id["zbw"].error == ""  # a failed claim, not an error
         assert by_id["kn-horizon"].status == "pass"
 
-    @pytest.mark.parametrize("key", ["zbx.sigma", "zbw.", ".sigma", "zbw"])
+    @pytest.mark.parametrize("key", ["zbx.sigma", "zbw.", ".sigma", "zbw", "zbw.sigmaa"])
     def test_unregistered_override_rejected(self, tmp_path, key):
         with pytest.raises(ValueError, match=f"override {key!r}"):
             experiments.run_all(tmp_path, overrides={key: "5"}, only=["ring-model"])
@@ -346,10 +385,12 @@ class TestCli:
 
     @pytest.mark.parametrize("text, key", [
         ("zbx.sigma = 5\n", "zbx.sigma"),
+        ("zbw.sigmaa = 5\n", "zbw.sigmaa"),
         ("zbw.sigma = 5\nzbw.sigma = 6\n", "zbw.sigma"),
         ("zbw.sigma 5\n", "zbw.sigma"),
         ("only = ring-model, kn-wormhole\n", "kn-wormhole"),
-    ], ids=["typo-prefix", "duplicate-key", "malformed-line", "unknown-only-id"])
+    ], ids=["typo-prefix", "typo-parameter", "duplicate-key", "malformed-line",
+            "unknown-only-id"])
     def test_run_all_bad_config_is_usage_error(self, tmp_path, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")

@@ -180,48 +180,6 @@ class TestShellTraceA0:
         assert 1.0 / 3.0 <= coeff / quad <= 3.0
 
 
-class TestChristoffelPotential:
-    def test_flat_metric_gives_zero(self):
-        h = np.zeros((64, 4, 4))
-        out = lg.christoffel_potential(h, (0.1,))
-        assert np.max(np.abs(out["spatial"][0])) == 0.0
-
-    def test_static_newtonian_falloff(self):
-        # h00 = 2 Phi / c^2 with Phi = -mu/r: A_r tracks dPhi/dr as 1/r^2
-        r = np.linspace(1.0, 10.0, 4000)
-        mu = 1e-6
-        h = np.zeros((r.size, 4, 4))
-        h[:, 0, 0] = -2 * mu / r
-        out = lg.christoffel_potential(h, (r[1] - r[0],))
-        a_r = out["spatial"][0]
-        sel = slice(20, -20)
-        target = -mu / r**2
-        assert np.max(np.abs(a_r[sel] / target[sel] - 1)) <= 0.02
-        slope = np.polyfit(np.log(r[sel]), np.log(np.abs(a_r[sel])), 1)[0]
-        assert slope == pytest.approx(-2.0, abs=0.04)
-
-    def test_time_component_against_finite_difference(self):
-        rng = np.random.default_rng(21)
-        h = 0.01 * rng.standard_normal((8, 4, 4))
-        h = (h + np.transpose(h, (0, 2, 1))) / 2
-        dh = 0.001 * rng.standard_normal((8, 4, 4))
-        dh = (dh + np.transpose(dh, (0, 2, 1))) / 2
-        out = lg.christoffel_potential(h, (1.0,), dhdt=dh)
-        eps = 1e-6
-        eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-        for i in range(8):
-            s_plus = 0.5 * math.log(abs(np.linalg.det(eta + h[i] + eps * dh[i])))
-            s_minus = 0.5 * math.log(abs(np.linalg.det(eta + h[i] - eps * dh[i])))
-            fd = (s_plus - s_minus) / (2 * eps)
-            assert out["time"][i] == pytest.approx(fd, rel=1e-6, abs=1e-12)
-
-    def test_large_perturbation_rejected(self):
-        h = np.zeros((16, 4, 4))
-        h[:, 1, 1] = 0.5
-        with pytest.raises(ValueError, match="linearized"):
-            lg.christoffel_potential(h, (1.0,))
-
-
 class TestWeylFields:
     @staticmethod
     def grid_omega(fn, n=32, lo=0.6, hi=1.6, nt=5, dt=0.01):
