@@ -108,7 +108,9 @@ def evolve(grid, dt, steps):
         raise ValueError("steps must be non-negative")
     k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
     p = np.exp(-0.5j * grid.hbar * k**2 * (steps * dt) / grid.mass)
-    psi = np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi))
+    spectrum = np.fft.fft2(grid.psi)
+    np.multiply(np.outer(p, p), spectrum, out=spectrum)
+    psi = np.fft.ifft2(spectrum)
     return WaveGrid2D(psi, grid.dx, mass=grid.mass, hbar=grid.hbar)
 
 
@@ -139,8 +141,9 @@ class MadelungFields:
 
     @functools.cached_property
     def v(self):
-        return (self.hbar / self.mass) * _wrapped_gradient(self.S, self.dx,
-                                                           self.phase_period)
+        v = _wrapped_gradient(self.S, self.dx, self.phase_period)
+        v *= self.hbar / self.mass
+        return v
 
 
 def _wrap_centered(delta, period):
@@ -149,21 +152,31 @@ def _wrap_centered(delta, period):
 
 
 def _wrapped_gradient(S, dx, period):
-    """Centered derivative of a wrapped phase grid.
+    """Centered derivative of a wrapped phase grid, shape (2, N, N).
 
     Each unit grid step is unwrapped into (-period/2, period/2]; cumulative
     two-step offsets are built from those, then combined with the 4th-order
-    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx).
+    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx). The terms are
+    formed in place, in the formula's order of operations, with at most three
+    grids besides S and the result alive at once.
     """
-    grads = []
-    for axis in (0, 1):
-        step = _wrap_centered(np.roll(S, -1, axis=axis) - S, period)
-        d_plus1 = step
-        d_plus2 = step + np.roll(step, -1, axis=axis)
-        d_minus1 = -np.roll(step, 1, axis=axis)
-        d_minus2 = d_minus1 - np.roll(step, 2, axis=axis)
-        grads.append((8 * (d_plus1 - d_minus1) - (d_plus2 - d_minus2)) / (12 * dx))
-    return np.stack(grads)
+    grad = np.empty((2,) + S.shape)
+    for axis, g in enumerate(grad):
+        step = np.roll(S, -1, axis=axis)
+        step -= S
+        step -= period * np.ceil(step / period - 0.5)  # as _wrap_centered
+        d_minus = np.roll(step, 1, axis=axis)
+        np.negative(d_minus, out=d_minus)               # d_minus1
+        np.subtract(step, d_minus, out=g)
+        g *= 8
+        np.subtract(d_minus, np.roll(step, 2, axis=axis), out=d_minus)  # d_minus2
+        d_plus2 = np.roll(step, -1, axis=axis)
+        np.add(step, d_plus2, out=d_plus2)
+        d_plus2 -= d_minus
+        g -= d_plus2
+        g /= 12 * dx
+        del step, d_minus, d_plus2
+    return grad
 
 
 def decompose(grid):
@@ -215,9 +228,9 @@ def quantum_potential(fields):
     if bool(fields.node_mask.all()):
         raise ValueError("no off-mask region: field is zero everywhere")
     lap = _spectral_laplacian(fields.R, fields.dx)
-    R_safe = np.where(fields.node_mask, 1.0, fields.R)
-    Q = -(fields.hbar**2 / (2 * fields.mass)) * lap / R_safe
-    return np.ma.masked_array(Q, mask=fields.node_mask)
+    lap *= -(fields.hbar**2 / (2 * fields.mass))
+    lap /= np.where(fields.node_mask, 1.0, fields.R)
+    return np.ma.masked_array(lap, mask=fields.node_mask)
 
 
 @dataclass
@@ -298,15 +311,25 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     Time derivative is centered over 2*dt; the flux divergence is spectral.
     Returns RMS(residual) / max over the grid of either term's magnitude.
     """
-    rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
     f = decompose(grid_center)
-    rho = f.density()
-    vx = np.where(f.node_mask, 0.0, f.v[0])
-    vy = np.where(f.node_mask, 0.0, f.v[1])
-    div = _spectral_divergence(rho * vx, rho * vy, grid_center.dx)
-    residual = rho_dot + div
+    flux = f.v  # f's own array: zeroed at the nodes and scaled by rho in place
+    flux[:, f.node_mask] = 0.0
+    flux *= f.density()
+    del f
+    div = _spectral_divergence(flux[0], flux[1], grid_center.dx)
+    del flux
+    rho_dot = np.abs(grid_plus.psi)
+    rho_dot **= 2
+    rho_minus = np.abs(grid_minus.psi)
+    rho_minus **= 2
+    rho_dot -= rho_minus
+    del rho_minus
+    rho_dot /= 2 * dt
     scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
-    return float(np.sqrt(np.mean(residual**2))) / scale
+    residual = rho_dot
+    residual += div
+    residual **= 2
+    return float(np.sqrt(np.mean(residual))) / scale
 
 
 @dataclass(frozen=True)
@@ -364,7 +387,7 @@ def encode_field(array, dx, label=""):
     arr = np.ascontiguousarray(array, dtype="<f8")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("snapshot expects a square 2-D real grid")
-    payload = struct.pack("<dd", float(arr.shape[0]), float(dx)) + arr.tobytes()
+    payload = struct.pack("<dd", float(arr.shape[0]), float(dx)) + memoryview(arr)
     sidecar = (f"field = {label or 'unnamed'}\n"
                f"n = {arr.shape[0]}\n"
                f"dx = {dx:.17g}\n"

@@ -124,6 +124,8 @@ class Experiment:
 
 
 def _coerce(default, raw, key):
+    if isinstance(default, int) and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"non-integral value {raw!r} for parameter {key!r}")
     try:
         value = raw if isinstance(raw, type(default)) else type(default)(raw)
     except (TypeError, ValueError) as exc:
@@ -184,65 +186,89 @@ def _run_constants_report(params):
     }
 
 
-def _run_bohm_vortex(params):
-    n = params["grid"]
-    dx = params["dx"]
+def _vortex_stage(n, dx):
+    """Circulation rows and quanta, the velocity-profile deviation, and the R
+    snapshot of a unit vortex; the half-winding field is built only on the box
+    that holds the mid loop."""
     grid = bohm.vortex_state(n, dx, core_radius=2 * dx)
+    x = grid.axis()
     f = bohm.decompose(grid)
+    del grid
     c0 = n // 2
     loops = {
-        "inner": bohm.LoopPath.rectangle(c0 - 10, c0 - 10, c0 + 10, c0 + 10),
-        "mid": bohm.LoopPath.rectangle(c0 - 25, c0 - 20, c0 + 18, c0 + 24),
-        "outer": bohm.LoopPath.rectangle(c0 - 50, c0 - 50, c0 + 50, c0 + 50),
+        "inner": (c0 - 10, c0 - 10, c0 + 10, c0 + 10),
+        "mid": (c0 - 25, c0 - 20, c0 + 18, c0 + 24),
+        "outer": (c0 - 50, c0 - 50, c0 + 50, c0 + 50),
     }
     rows = []
     quanta = {}
-    for name, loop in loops.items():
-        res = bohm.circulation(f, loop)
+    for name, corners in loops.items():
+        res = bohm.circulation(f, bohm.LoopPath.rectangle(*corners))
         quanta[name] = res.half_quanta
         rows.append([name, res.gamma, res.half_quanta, res.residual])
+    snapshot = bohm.encode_field(f.R, dx, label="vortex amplitude R")
 
-    x = grid.axis()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    phi = np.arctan2(Y, X)
-    half = bohm.synthetic_fields(np.ones((n, n)), 0.5 * phi, dx,
-                                 phase_period=math.pi)
-    res_half = bohm.circulation(half, loops["mid"])
+    i0, j0, i1, j1 = loops["mid"]
+    half = _half_winding_box(x, i0, j0, max(i1 - i0, j1 - j0) + 1, dx)
+    res_half = bohm.circulation(half, bohm.LoopPath.rectangle(0, 0, i1 - i0, j1 - j0))
     rows.append(["half-winding", res_half.gamma, res_half.half_quanta,
                  res_half.residual])
 
-    spread = max(quanta.values()) - min(quanta.values())
-
-    r = np.hypot(X, Y)
-    speed = np.hypot(f.v[0], f.v[1])
-    sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~f.node_mask
+    v, node_mask = f.v, f.node_mask
+    del f
+    speed = np.hypot(v[0], v[1])
+    del v
+    r = np.hypot(x[:, None], x[None, :])
+    sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~node_mask
     profile_dev = float(np.max(np.abs(speed[sel] * r[sel] - 1.0)))
+    return rows, quanta, res_half.half_quanta, profile_dev, snapshot
 
-    # continuity of an evolved free packet
+
+def _half_winding_box(x, i0, j0, size, dx):
+    """The two-sheeted field S = azimuth/2, R = 1 on the size x size box of
+    nodes from (i0, j0) of the grid with node coordinates x."""
+    X, Y = np.meshgrid(x[i0:i0 + size], x[j0:j0 + size], indexing="ij")
+    return bohm.synthetic_fields(np.ones((size, size)), 0.5 * np.arctan2(Y, X), dx,
+                                 phase_period=math.pi)
+
+
+def _continuity_stage(n):
+    """Continuity residual of a free packet evolved to 399, 400 and 401 steps."""
     g0 = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
     dt = 5e-4
     mid = bohm.evolve(g0, dt, 400)
     before = bohm.evolve(g0, dt, 399)
     after = bohm.evolve(g0, dt, 401)
-    continuity = bohm.continuity_residual(before, mid, after, dt)
+    del g0
+    return bohm.continuity_residual(before, mid, after, dt)
 
-    # stationary harmonic state: Q + V constant at E
+
+def _harmonic_stage(n):
+    """Std of Q + V over a stationary harmonic state (constant at E)."""
     gh = bohm.gaussian_state(n, 16.0 / n, sigma=math.sqrt(0.5))
-    fh = bohm.decompose(gh)
-    q = bohm.quantum_potential(fh)
     xh = gh.axis()
-    total = q + np.add.outer(xh**2, xh**2) / 2
-    q_std = float(total[~fh.node_mask].std())
+    fh = bohm.decompose(gh)
+    del gh
+    total = bohm.quantum_potential(fh) + np.add.outer(xh**2, xh**2) / 2
+    return float(total[~fh.node_mask].std())
 
-    snapshot, sidecar = bohm.encode_field(f.R, dx, label="vortex amplitude R")
 
+def _run_bohm_vortex(params):
+    # one stage at a time, so each stage's grids are freed before the next;
+    # the vortex stage last, so its snapshot is not held through the others
+    n = params["grid"]
+    continuity = _continuity_stage(n)
+    q_std = _harmonic_stage(n)
+    rows, quanta, half_quanta, profile_dev, (snapshot, sidecar) = _vortex_stage(
+        n, params["dx"])
+    spread = max(quanta.values()) - min(quanta.values())
     claims = [
         RatioCheck.relative("unit-winding-m-gamma-over-h",
                             quanta["mid"] / 2, 1.0, 0.01,
                             note="m*Gamma/h; half_quanta of a unit vortex is 2"),
         RatioCheck.upper_bound("loop-independence-spread", spread, 1e-3),
         RatioCheck.relative("half-winding-m-gamma-over-half-h",
-                            res_half.half_quanta, 1.0, 1e-3),
+                            half_quanta, 1.0, 1e-3),
         RatioCheck.upper_bound("velocity-profile-deviation", profile_dev,
                                params["profile_tol"]),
         RatioCheck.upper_bound("continuity-residual", continuity, 1e-3),
@@ -597,6 +623,9 @@ def _run_charge_confinement(params):
 # scales, shell radii and horizon widths all divide by the mass.
 MASSIVE = tuple(name for name, p in BUILTIN_PARTICLES.items() if p.mass > 0)
 PARTICLE = Param("electron", choices=MASSIVE)
+# constants-report's and charge-confinement's references (4.17e42, 137.04,
+# 1e40, 2.79) are electron numbers
+ELECTRON = Param("electron", choices=("electron",))
 # hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
 SITES, LENGTH, ELEMENTS = (128, 4096), (1e-3, 1e3), (16, 1 << 14)
 
@@ -604,11 +633,12 @@ EXPERIMENTS = {}
 for _exp in [
     Experiment("constants-report",
                "coupling, charge-gravity, and shell-identity ratio checks",
-               {"particle": PARTICLE}, _run_constants_report),
+               {"particle": ELECTRON}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
                # the outer loop reaches 50 sites from the centre; 2048^2
-               # complex128 is 64 MiB per array
+               # complex128 is 64 MiB per array, and a run peaks at about
+               # 6.6 such arrays
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048)),
                 "dx": Param(0.1, *LENGTH), "profile_tol": Param(0.02, 0, 1, True)},
                _run_bohm_vortex),
@@ -647,7 +677,7 @@ for _exp in [
                 "sphere_elements": Param(10000, *ELEMENTS)}, _run_shell_spin),
     Experiment("charge-confinement",
                "charge magnitude arithmetic and the Coulomb-plus-linear fit",
-               {"particle": PARTICLE, "elements": Param(1024, *ELEMENTS),
+               {"particle": ELECTRON, "elements": Param(1024, *ELEMENTS),
                 "quark_mass_gev": Param(1.8, 1e-3, 1e3)}, _run_charge_confinement),
 ]:
     EXPERIMENTS[_exp.id] = _exp

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmbh_lab import bohm
+from qmbh_lab import bohm, experiments
 from qmbh_lab.constants import BUILTIN_PARTICLES, CGS
 
 ELECTRON = BUILTIN_PARTICLES["electron"]
@@ -364,6 +364,73 @@ class TestContinuity:
         before = bohm.evolve(g, dt, 399)
         after = bohm.evolve(g, dt, 401)
         assert bohm.continuity_residual(before, mid, after, dt) <= 1e-3
+
+
+def stacked_wrapped_gradient(S, dx, period):
+    """Reference: the per-axis list-and-stack form of `_wrapped_gradient`."""
+    grads = []
+    for axis in (0, 1):
+        step = bohm._wrap_centered(np.roll(S, -1, axis=axis) - S, period)
+        d_plus1 = step
+        d_plus2 = step + np.roll(step, -1, axis=axis)
+        d_minus1 = -np.roll(step, 1, axis=axis)
+        d_minus2 = d_minus1 - np.roll(step, 2, axis=axis)
+        grads.append((8 * (d_plus1 - d_minus1) - (d_plus2 - d_minus2)) / (12 * dx))
+    return np.stack(grads)
+
+
+def where_continuity_residual(grid_minus, grid_center, grid_plus, dt):
+    """Reference: `continuity_residual` with fresh arrays for every term."""
+    rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
+    f = bohm.decompose(grid_center)
+    rho = f.density()
+    v = (f.hbar / f.mass) * stacked_wrapped_gradient(f.S, f.dx, f.phase_period)
+    vx = np.where(f.node_mask, 0.0, v[0])
+    vy = np.where(f.node_mask, 0.0, v[1])
+    div = bohm._spectral_divergence(rho * vx, rho * vy, grid_center.dx)
+    residual = rho_dot + div
+    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
+    return float(np.sqrt(np.mean(residual**2))) / scale
+
+
+class TestInPlaceBitIdentity:
+    """The in-place kernels repeat the reference forms' floating-point
+    operations in the same order, so they agree bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def triple(self):
+        g = bohm.gaussian_state(256, 40.0 / 256, sigma=1.5, k=(1.0, 0.5))
+        return [bohm.evolve(g, 5e-4, steps) for steps in (399, 400, 401)]
+
+    @pytest.mark.parametrize("period", [2 * math.pi, math.pi])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wrapped_gradient_on_random_phases(self, period, seed):
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(-period / 2, period / 2, (128, 128))
+        assert np.array_equal(bohm._wrapped_gradient(S, 0.07, period),
+                              stacked_wrapped_gradient(S, 0.07, period))
+
+    def test_wrapped_gradient_on_evolved_state(self, triple):
+        f = bohm.decompose(triple[1])
+        assert np.array_equal(f.v, stacked_wrapped_gradient(f.S, f.dx, 2 * math.pi))
+
+    def test_continuity_residual_on_evolved_triple(self, triple):
+        assert (bohm.continuity_residual(*triple, 5e-4)
+                == where_continuity_residual(*triple, 5e-4))
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_half_winding_box_matches_full_grid(self, n):
+        dx, c0 = 0.1, n // 2
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        full = bohm.synthetic_fields(np.ones((n, n)), 0.5 * np.arctan2(Y, X), dx,
+                                     phase_period=math.pi)
+        box = experiments._half_winding_box(x, c0 - 25, c0 - 20, 45, dx)
+        assert np.array_equal(box.S, full.S[c0 - 25:c0 + 20, c0 - 20:c0 + 25])
+        res_full = bohm.circulation(
+            full, bohm.LoopPath.rectangle(c0 - 25, c0 - 20, c0 + 18, c0 + 24))
+        res_box = bohm.circulation(box, bohm.LoopPath.rectangle(0, 0, 43, 44))
+        assert res_box == res_full
 
 
 class TestRingModel:

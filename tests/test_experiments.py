@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -52,6 +53,17 @@ class TestRegistry:
         assert report.claims == []
         assert f"ValueError: non-finite value {raw!r} for parameter {key!r}" \
             in report.error
+
+    @pytest.mark.parametrize("raw", [128.9, 128.5, float("inf"), float("nan")])
+    def test_non_integral_float_for_int_rejected(self, raw):
+        exp = experiments.EXPERIMENTS["hopping-dispersion"]
+        with pytest.raises(ValueError, match="'sites'"):
+            experiments.resolve_parameters(exp, {"sites": raw})
+
+    def test_integral_float_for_int_accepted(self):
+        params = experiments.resolve_parameters(
+            experiments.EXPERIMENTS["hopping-dispersion"], {"sites": 128.0})
+        assert params["sites"] == 128 and type(params["sites"]) is int
 
     @pytest.mark.parametrize("widths", [
         "1:2",            # no 100
@@ -120,7 +132,10 @@ class TestRegistry:
         ("metric-slice", "lam", "0"),
     ] + [(exp_id, "particle", "neutrino") for exp_id in [
         "constants-report", "ring-model", "kn-horizon", "kn-fields", "shell-spin",
-        "charge-confinement"]])
+        "charge-confinement"]] + [
+        # their references are electron numbers
+        (exp_id, "particle", "proton") for exp_id in [
+            "constants-report", "charge-confinement"]])
     def test_value_outside_domain_rejected(self, tmp_path, exp_id, key, raw):
         report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
                                                             tmp_path))
@@ -261,6 +276,20 @@ class TestBohmVortex:
             f"bohm-vortex: ValueError: parameter {key!r}")
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_runner_peak_memory(self):
+        # the stages free their grids in turn: at most 10 complex n x n grids
+        # are alive at once (17.4 with all stages' grids held together)
+        params = experiments.resolve_parameters(
+            experiments.EXPERIMENTS["bohm-vortex"], {})
+        experiments._run_bohm_vortex(params)  # warm-up: FFT plan caches
+        tracemalloc.start()
+        try:
+            experiments._run_bohm_vortex(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * params["grid"] ** 2 * 16
 
     def test_smallest_grid_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec(
