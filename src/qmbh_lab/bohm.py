@@ -16,6 +16,10 @@ dt are one FFT pair (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
 1982). The phase is separable, exp(-i c (kx^2 + ky^2)) = p(kx) p(ky), so it
 is the outer product of n one-dimensional exponentials; a Gaussian state is
 likewise the outer product of its 1-D envelope-times-plane-wave factors.
+So a product state fa(x) fb(y) stays a product under free evolution, and its
+density, velocity, flux divergence and Q follow from the 1-D factors
+(`evolve_factor`, `product_continuity_residual`, `factor_quantum_potential`);
+the 2-D functions remain for general states.
 Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
 849, 1987). The velocity v of a `MadelungFields` is computed from S on
@@ -74,12 +78,16 @@ class WaveGrid2D:
         return float(np.sum(np.abs(self.psi) ** 2) * self.dx**2)
 
 
+def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
+    """One axis's factor exp(-(x - center)^2/(4 sigma^2) + i k x) of a
+    `gaussian_state`, on the n centred nodes of spacing dx; unnormalized."""
+    x = (np.arange(n) - n // 2) * dx
+    return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
+
+
 def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar=1.0):
     """Normalized Gaussian |psi|^2 ~ exp(-r^2/(2 sigma^2)), optionally plane-wave boosted."""
-    x = (np.arange(n) - n // 2) * dx
-    fx, fy = (np.exp(-((x - c) ** 2) / (4 * sigma**2) + 1j * kc * x)
-              for c, kc in zip(center, k))
-    psi = np.outer(fx, fy)
+    psi = np.outer(*(gaussian_factor(n, dx, sigma, c, kc) for c, kc in zip(center, k)))
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx**2)
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
@@ -87,10 +95,8 @@ def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar
 def vortex_state(n, dx, core_radius, winding=1, mass=1.0, hbar=1.0):
     """tanh-core vortex tanh(r/r0) exp(i * winding * azimuth), unnormalized profile."""
     x = (np.arange(n) - n // 2) * dx
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    r = np.hypot(X, Y)
-    phi = np.arctan2(Y, X)
-    psi = np.tanh(r / core_radius) * np.exp(1j * winding * phi)
+    X, Y = x[:, None], x[None, :]
+    psi = np.tanh(np.hypot(X, Y) / core_radius) * np.exp(1j * winding * np.arctan2(Y, X))
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
 
@@ -102,12 +108,18 @@ def _half_wavenumbers(n, dx):
     return kx[:, None], ky[None, :]
 
 
-def evolve(grid, dt, steps):
-    """Free evolution for `steps` steps of size dt: one exact k-space phase."""
+def _kinetic_phase(n, dx, dt, steps, mass, hbar):
+    """The 1-D factor exp(-i hbar k^2 (steps dt) / 2m) of the free propagator
+    over `steps` steps of dt, in FFT order."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    p = np.exp(-0.5j * grid.hbar * k**2 * (steps * dt) / grid.mass)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    return np.exp(-0.5j * hbar * k**2 * (steps * dt) / mass)
+
+
+def evolve(grid, dt, steps):
+    """Free evolution for `steps` steps of size dt: one exact k-space phase."""
+    p = _kinetic_phase(grid.n, grid.dx, dt, steps, grid.mass, grid.hbar)
     spectrum = np.fft.fft2(grid.psi)
     np.multiply(np.outer(p, p), spectrum, out=spectrum)
     psi = np.fft.ifft2(spectrum)
@@ -152,7 +164,8 @@ def _wrap_centered(delta, period):
 
 
 def _wrapped_gradient(S, dx, period):
-    """Centered derivative of a wrapped phase grid, shape (2, N, N).
+    """Centered derivative of a wrapped phase grid along each of its axes,
+    shape (S.ndim,) + S.shape.
 
     Each unit grid step is unwrapped into (-period/2, period/2]; cumulative
     two-step offsets are built from those, then combined with the 4th-order
@@ -160,7 +173,7 @@ def _wrapped_gradient(S, dx, period):
     formed in place, in the formula's order of operations, with at most three
     grids besides S and the result alive at once.
     """
-    grad = np.empty((2,) + S.shape)
+    grad = np.empty((S.ndim,) + S.shape)
     for axis, g in enumerate(grad):
         step = np.roll(S, -1, axis=axis)
         step -= S
@@ -330,6 +343,71 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     residual += div
     residual **= 2
     return float(np.sqrt(np.mean(residual))) / scale
+
+
+# Product states. The free propagator's phase is p(kx) p(ky), so a state
+# fa(x) fb(y) stays a product; its density, velocity and Q follow from the
+# two 1-D factors without any n x n complex grid.
+
+def evolve_factor(f, dx, dt, steps, mass=1.0, hbar=1.0):
+    """One factor of a product state evolved freely: `evolve` of outer(fa, fb)
+    is the outer product of the two evolved factors."""
+    if np.ndim(f) != 1 or not np.isfinite(f).all():
+        raise ValueError("factor must be a finite 1-D array")
+    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps, mass, hbar) * np.fft.fft(f))
+
+
+def _rfft_derivative(f, dx, order):
+    """d^order f/dx^order of a real periodic 1-D grid by a real FFT; for the
+    first derivative the Nyquist term is zeroed, as in `_spectral_divergence`."""
+    k = 2 * np.pi * np.fft.rfftfreq(f.size, d=dx)
+    if order == 1:
+        k[-1] = 0.0
+    return np.fft.irfft((1j * k) ** order * np.fft.rfft(f), f.size)
+
+
+def product_continuity_residual(fa, fb, dx, dt, steps, mass=1.0, hbar=1.0):
+    """`continuity_residual` of the packet outer(fa, fb) evolved by steps - 1,
+    steps and steps + 1 steps of dt, from its 1-D factors.
+
+    rho = ra^2 rb^2 and S = Sa(x) + Sb(y), so div(rho v) is
+    (ra^2 va)' rb^2 + ra^2 (rb^2 vb)'. Nodes are not masked: there rho is
+    below 1e-16 of its peak, so the flux is too. Only the final maxima and
+    RMS use n x n grids, all real.
+    """
+    factors = []
+    for f in (fa, fb):
+        minus, plus = (np.abs(evolve_factor(f, dx, dt, s, mass, hbar)) ** 2
+                       for s in (steps - 1, steps + 1))
+        mid = evolve_factor(f, dx, dt, steps, mass, hbar)
+        rho = np.abs(mid) ** 2
+        if not rho.any():
+            raise ValueError("cannot decompose an identically zero field")
+        v = _wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0] * (hbar / mass)
+        factors.append((minus, rho, plus, _rfft_derivative(rho * v, dx, 1)))
+    (am, a, ap, da), (bm, b, bp, db) = factors
+    rho_dot = np.outer(ap, bp)
+    rho_dot -= np.outer(am, bm)
+    rho_dot /= 2 * dt
+    div = np.outer(da, b)
+    div += np.outer(a, db)
+    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
+    rho_dot += div
+    rho_dot **= 2
+    return float(np.sqrt(np.mean(rho_dot))) / scale
+
+
+def factor_quantum_potential(r, dx, mass=1.0, hbar=1.0):
+    """q = -(hbar^2/2m) r''/r of one factor r of a product amplitude
+    R = ra(x) rb(y), whose Q is qa(x) + qb(y). Where r is below the node
+    threshold, every node of its row of R is masked, and q is not divided."""
+    peak = float(r.max())
+    if peak == 0.0:
+        raise ValueError("cannot decompose an identically zero field")
+    q = _rfft_derivative(r, dx, 2)
+    q *= -(hbar**2 / (2 * mass))
+    q /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
+    return q
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,72 @@ class TestInPlaceBitIdentity:
         assert res_box == res_full
 
 
+GRIDS = [128, 256, 512, 1024]
+
+
+class TestProductStates:
+    """The product-state forms of the bohm-vortex stages against the 2-D
+    reference paths they replace."""
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_factor_evolution_matches_2d_evolve(self, n):
+        dx, dt = 40.0 / n, 5e-4
+        fa, fb = (bohm.gaussian_factor(n, dx, 1.5, k=k) for k in (1.0, 0.5))
+        norm = math.sqrt(np.sum(np.abs(fa) ** 2) * np.sum(np.abs(fb) ** 2)) * dx
+        psi = bohm.evolve(bohm.gaussian_state(n, dx, 1.5, k=(1.0, 0.5)), dt, 400).psi
+        outer = np.outer(*(bohm.evolve_factor(f, dx, dt, 400) for f in (fa, fb))) / norm
+        assert np.max(np.abs(outer - psi)) <= 1e-13 * np.max(np.abs(psi))
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_continuity_stage_matches_2d_residual(self, n):
+        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
+        ref = bohm.continuity_residual(
+            *(bohm.evolve(g, 5e-4, steps) for steps in (399, 400, 401)), 5e-4)
+        assert experiments._continuity_stage(n) == pytest.approx(ref, rel=1e-5)
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_harmonic_stage_matches_2d_quantum_potential(self, n):
+        g = bohm.gaussian_state(n, 16.0 / n, sigma=math.sqrt(0.5))
+        x = g.axis()
+        f = bohm.decompose(g)
+        total = bohm.quantum_potential(f) + np.add.outer(x**2, x**2) / 2
+        ref = float(total[~f.node_mask].std())
+        std = experiments._harmonic_stage(n)
+        assert abs(std - ref) <= 1e-5
+        assert max(std, ref) < 1e-4
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_vortex_state_matches_meshgrid_form(self, n):
+        dx = 0.1
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        psi = np.tanh(np.hypot(X, Y) / (2 * dx)) * np.exp(1j * np.arctan2(Y, X))
+        assert np.array_equal(bohm.vortex_state(n, dx, core_radius=2 * dx).psi, psi)
+
+    @pytest.mark.parametrize("n", GRIDS)
+    @pytest.mark.parametrize("dx", [0.1, 0.37])
+    def test_box_velocity_profile_matches_full_grid(self, n, dx):
+        g = bohm.vortex_state(n, dx, core_radius=2 * dx)
+        x = g.axis()
+        f = bohm.decompose(g)
+        speed = np.hypot(f.v[0], f.v[1])
+        r = np.hypot(x[:, None], x[None, :])
+        sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~f.node_mask
+        assert np.array_equal(experiments._profile_deviations(f, x),
+                              np.abs(speed[sel] * r[sel] - 1.0))
+
+    def test_factor_checks(self):
+        f = bohm.gaussian_factor(64, 0.2, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            bohm.evolve_factor(f, 0.2, 1e-3, -1)
+        with pytest.raises(ValueError, match="finite"):
+            bohm.evolve_factor(np.where(np.arange(64) == 3, np.nan, f), 0.2, 1e-3, 1)
+        with pytest.raises(ValueError, match="identically zero"):
+            bohm.product_continuity_residual(f, np.zeros(64), 0.2, 1e-3, 1)
+        with pytest.raises(ValueError, match="identically zero"):
+            bohm.factor_quantum_potential(np.zeros(64), 0.2)
+
+
 class TestRingModel:
     def test_electron_radius(self):
         m = bohm.ring_model(1, ELECTRON.mass)
