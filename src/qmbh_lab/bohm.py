@@ -18,7 +18,7 @@ is the outer product of n one-dimensional exponentials; a Gaussian state is
 likewise the outer product of its 1-D envelope-times-plane-wave factors.
 So a product state fa(x) fb(y) stays a product under free evolution, and its
 density, velocity, flux divergence and Q follow from the 1-D factors
-(`evolve_factor`, `product_continuity_residual`, `factor_quantum_potential`);
+(`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`);
 the 2-D functions remain for general states.
 Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
@@ -39,6 +39,11 @@ import numpy as np
 from .constants import CGS
 
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
+
+
+def centered_axis(n, dx):
+    """Coordinates of the n nodes of spacing dx along one axis, centred on the box."""
+    return (np.arange(n) - n // 2) * dx
 
 
 def _check_power_of_two_size(n):
@@ -71,8 +76,7 @@ class WaveGrid2D:
 
     def axis(self):
         """Node coordinates along one axis, centered on the box."""
-        n = self.n
-        return (np.arange(n) - n // 2) * self.dx
+        return centered_axis(self.n, self.dx)
 
     def norm(self):
         return float(np.sum(np.abs(self.psi) ** 2) * self.dx**2)
@@ -81,7 +85,7 @@ class WaveGrid2D:
 def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
     """One axis's factor exp(-(x - center)^2/(4 sigma^2) + i k x) of a
     `gaussian_state`, on the n centred nodes of spacing dx; unnormalized."""
-    x = (np.arange(n) - n // 2) * dx
+    x = centered_axis(n, dx)
     return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
 
 
@@ -94,7 +98,7 @@ def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar
 
 def vortex_state(n, dx, core_radius, winding=1, mass=1.0, hbar=1.0):
     """tanh-core vortex tanh(r/r0) exp(i * winding * azimuth), unnormalized profile."""
-    x = (np.arange(n) - n // 2) * dx
+    x = centered_axis(n, dx)
     X, Y = x[:, None], x[None, :]
     psi = np.tanh(np.hypot(X, Y) / core_radius) * np.exp(1j * winding * np.arctan2(Y, X))
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
@@ -347,14 +351,15 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
 
 # Product states. The free propagator's phase is p(kx) p(ky), so a state
 # fa(x) fb(y) stays a product; its density, velocity and Q follow from the
-# two 1-D factors without any n x n complex grid.
+# two 1-D factors without any n x n complex grid. These forms are in units
+# hbar = m = 1, the only units the experiments use.
 
-def evolve_factor(f, dx, dt, steps, mass=1.0, hbar=1.0):
+def evolve_factor(f, dx, dt, steps):
     """One factor of a product state evolved freely: `evolve` of outer(fa, fb)
     is the outer product of the two evolved factors."""
     if np.ndim(f) != 1 or not np.isfinite(f).all():
         raise ValueError("factor must be a finite 1-D array")
-    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps, mass, hbar) * np.fft.fft(f))
+    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps, 1.0, 1.0) * np.fft.fft(f))
 
 
 def _rfft_derivative(f, dx, order):
@@ -366,7 +371,7 @@ def _rfft_derivative(f, dx, order):
     return np.fft.irfft((1j * k) ** order * np.fft.rfft(f), f.size)
 
 
-def product_continuity_residual(fa, fb, dx, dt, steps, mass=1.0, hbar=1.0):
+def product_continuity_residual(fa, fb, dx, dt, steps):
     """`continuity_residual` of the packet outer(fa, fb) evolved by steps - 1,
     steps and steps + 1 steps of dt, from its 1-D factors.
 
@@ -377,13 +382,13 @@ def product_continuity_residual(fa, fb, dx, dt, steps, mass=1.0, hbar=1.0):
     """
     factors = []
     for f in (fa, fb):
-        minus, plus = (np.abs(evolve_factor(f, dx, dt, s, mass, hbar)) ** 2
+        minus, plus = (np.abs(evolve_factor(f, dx, dt, s)) ** 2
                        for s in (steps - 1, steps + 1))
-        mid = evolve_factor(f, dx, dt, steps, mass, hbar)
+        mid = evolve_factor(f, dx, dt, steps)
         rho = np.abs(mid) ** 2
         if not rho.any():
             raise ValueError("cannot decompose an identically zero field")
-        v = _wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0] * (hbar / mass)
+        v = _wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0]
         factors.append((minus, rho, plus, _rfft_derivative(rho * v, dx, 1)))
     (am, a, ap, da), (bm, b, bp, db) = factors
     rho_dot = np.outer(ap, bp)
@@ -397,17 +402,23 @@ def product_continuity_residual(fa, fb, dx, dt, steps, mass=1.0, hbar=1.0):
     return float(np.sqrt(np.mean(rho_dot))) / scale
 
 
-def factor_quantum_potential(r, dx, mass=1.0, hbar=1.0):
-    """q = -(hbar^2/2m) r''/r of one factor r of a product amplitude
-    R = ra(x) rb(y), whose Q is qa(x) + qb(y). Where r is below the node
-    threshold, every node of its row of R is masked, and q is not divided."""
+def product_q_plus_v_std(r, dx, potential):
+    """Std of Q + V over the off-node sites of the amplitude R = outer(r, r)
+    in the potential V = potential(x) + potential(y).
+
+    Q = q(x) + q(y) with q = -r''/(2 r), so Q + V = h(x) + h(y) with
+    h = q + potential. Where r is below the node threshold q is not divided;
+    the sites kept are those where R is not below it, as in `decompose`.
+    """
     peak = float(r.max())
     if peak == 0.0:
         raise ValueError("cannot decompose an identically zero field")
-    q = _rfft_derivative(r, dx, 2)
-    q *= -(hbar**2 / (2 * mass))
-    q /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
-    return q
+    h = _rfft_derivative(r, dx, 2)
+    h *= -0.5
+    h /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
+    h += potential(centered_axis(r.size, dx))
+    R = np.outer(r, r)
+    return float(np.add.outer(h, h)[R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()].std())
 
 
 @dataclass(frozen=True)

@@ -255,11 +255,7 @@ def _harmonic_stage(n):
     are separable, so Q + V = h(x) + h(y) with h = q + x^2/2."""
     dx = 16.0 / n
     ra = np.abs(bohm.gaussian_factor(n, dx, sigma=math.sqrt(0.5)))
-    x = (np.arange(n) - n // 2) * dx
-    h = bohm.factor_quantum_potential(ra, dx) + x**2 / 2
-    R = np.outer(ra, ra)
-    off_node = R >= bohm.NODE_MASK_RELATIVE_THRESHOLD * R.max()
-    return float(np.add.outer(h, h)[off_node].std())
+    return bohm.product_q_plus_v_std(ra, dx, lambda x: x**2 / 2)
 
 
 def _run_bohm_vortex(params):

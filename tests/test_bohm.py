@@ -496,7 +496,7 @@ class TestProductStates:
         with pytest.raises(ValueError, match="identically zero"):
             bohm.product_continuity_residual(f, np.zeros(64), 0.2, 1e-3, 1)
         with pytest.raises(ValueError, match="identically zero"):
-            bohm.factor_quantum_potential(np.zeros(64), 0.2)
+            bohm.product_q_plus_v_std(np.zeros(64), 0.2, np.zeros_like)
 
 
 class TestRingModel:
