@@ -96,12 +96,12 @@ def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar
     return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
 
 
-def vortex_state(n, dx, core_radius, winding=1, mass=1.0, hbar=1.0):
-    """tanh-core vortex tanh(r/r0) exp(i * winding * azimuth), unnormalized profile."""
+def vortex_state(n, dx, core_radius):
+    """Unit-winding tanh-core vortex tanh(r/r0) exp(i * azimuth), unnormalized profile."""
     x = centered_axis(n, dx)
     X, Y = x[:, None], x[None, :]
-    psi = np.tanh(np.hypot(X, Y) / core_radius) * np.exp(1j * winding * np.arctan2(Y, X))
-    return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
+    psi = np.tanh(np.hypot(X, Y) / core_radius) * np.exp(1j * np.arctan2(Y, X))
+    return WaveGrid2D(psi, dx)
 
 
 def _half_wavenumbers(n, dx):
@@ -431,36 +431,36 @@ class RingModel:
     energy: float
 
 
-def ring_model(n, mass, constants=CGS, segments=4096):
+def ring_model(n, mass):
     """Ring of winding n for rest mass `mass` (g), verified by quadrature.
 
     The defining line integrals sum(rho c^2 ds) = m c^2 and
-    m c sum(ds) = n h / 2 are re-evaluated over `segments` ring elements and
+    m c sum(ds) = n h / 2 are re-evaluated over 4096 ring elements and
     must close to 1e-10 relative.
     """
     if n < 1 or int(n) != n:
         raise ValueError("winding must be a positive integer")
     if mass <= 0:
         raise ValueError("mass must be positive")
-    c, hbar = constants.c, constants.hbar
+    c, hbar = CGS.c, CGS.hbar
     radius = n * hbar / (2 * mass * c)
     energy = mass * c**2
     model = RingModel(winding=int(n), mass=mass, radius=radius, energy=energy)
-    checks = ring_quadrature_checks(model, constants, segments)
+    checks = ring_quadrature_checks(model)
     for name, value in checks.items():
         if abs(value - 1.0) > 1e-10:
             raise ArithmeticError(f"ring quadrature identity {name} drifted: {value!r}")
     return model
 
 
-def ring_quadrature_checks(model, constants=CGS, segments=4096):
-    """Ratios of the two ring line integrals to their closed forms (both -> 1)."""
-    c = constants.c
+def ring_quadrature_checks(model):
+    """Ratios of the two ring line integrals over 4096 elements to their closed forms."""
+    c, segments = CGS.c, 4096
     ds = 2 * math.pi * model.radius / segments
     line_density = model.mass / (2 * math.pi * model.radius)
     energy_sum = math.fsum([line_density * c**2 * ds] * segments)
     action_sum = math.fsum([model.mass * c * ds] * segments)
-    h = 2 * math.pi * constants.hbar
+    h = 2 * math.pi * CGS.hbar
     return {
         "energy_over_mc2": energy_sum / (model.mass * c**2),
         "action_over_nh_half": action_sum / (model.winding * h / 2),

@@ -55,6 +55,10 @@ def run_one(ctx, experiment_id, out_flag):
         params[key[2:].replace("-", "_")] = tokens.pop(0)
     if experiment_id not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment id {experiment_id!r}")
+    unknown = [key for key in params if key not in EXPERIMENTS[experiment_id].params]
+    if unknown:
+        raise click.UsageError(f"unknown parameter {unknown[0]!r} for experiment "
+                               f"{experiment_id!r}")
     out_root = _default_out(out_flag)
     report = run(ExperimentSpec(experiment_id, params, out_root / experiment_id))
     for c in report.claims:
@@ -104,13 +108,19 @@ def run_all_cmd(config_path, out_flag):
 @main.command("report")
 @click.argument("directory", type=click.Path(exists=True, file_okay=False))
 def report_cmd(directory):
-    """Summarize the report records under an output directory."""
+    """Summarize the report records under an output directory; an unreadable
+    record exits with status 1 and names its file."""
     import json
 
     reports = []
     for path in sorted(Path(directory).glob("*/report.json")):
-        reports.append(ExperimentReport.from_dict(
-            json.loads(path.read_text(encoding="utf-8"))))
+        try:
+            reports.append(ExperimentReport.from_dict(
+                json.loads(path.read_text(encoding="utf-8"))))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise click.ClickException(
+                f"{path}: not a readable report record ({type(exc).__name__}: {exc})"
+            ) from exc
     if not reports:
         click.echo("no report records found", err=True)
         sys.exit(1)

@@ -1,4 +1,4 @@
-"""Physical constants (CGS-Gaussian), particle catalog, and closed-form ratio checks.
+"""Physical constants (CGS-Gaussian), built-in particles, and closed-form ratio checks.
 
 Everything here is fixed-point arithmetic on a pinned constants table:
 lengths in cm, masses in g, charges in esu, energies in erg. The table is
@@ -53,36 +53,6 @@ BUILTIN_PARTICLES = {
     "neutrino": ParticleSpec("neutrino", 0.0, 0.0, 0.5),
     "charm": ParticleSpec("charm", 1.8 * 1.78266192e-24, 2 * 4.80320471e-10 / 3, 0.5),
 }
-
-
-def load_catalog(path):
-    """Read a plain-text particle table: one `name mass_g charge_esu spin` per line.
-
-    A line holding only a name resolves against the built-in catalog.
-    Blank lines and `#` comments are skipped.
-    """
-    catalog = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) == 1:
-                name = tokens[0]
-                if name not in BUILTIN_PARTICLES:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown particle {name!r} (not in built-in catalog)"
-                    )
-                catalog[name] = BUILTIN_PARTICLES[name]
-            elif len(tokens) == 4:
-                name, mass, charge, spin = tokens
-                catalog[name] = ParticleSpec(name, float(mass), float(charge), float(spin))
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: expected `name` or `name mass charge spin`, got {raw!r}"
-                )
-    return catalog
 
 
 @dataclass(frozen=True)
@@ -162,39 +132,39 @@ def _require_massive(p):
         )
 
 
-def compton_wavelength(p, constants=CGS):
+def compton_wavelength(p):
     """Reduced Compton wavelength hbar/(m c), cm."""
     _require_massive(p)
-    return constants.hbar / (p.mass * constants.c)
+    return CGS.hbar / (p.mass * CGS.c)
 
 
-def half_compton_wavelength(p, constants=CGS):
+def half_compton_wavelength(p):
     """hbar/(2 m c): the vortex/shell radius used throughout, cm."""
-    return 0.5 * compton_wavelength(p, constants)
+    return 0.5 * compton_wavelength(p)
 
 
-def classical_radius(p, constants=CGS):
+def classical_radius(p):
     """Classical charge radius e^2/(m c^2), cm."""
     _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: classical radius undefined for zero charge")
-    return p.charge**2 / (p.mass * constants.c**2)
+    return p.charge**2 / (p.mass * CGS.c**2)
 
 
-def coupling_identities(p, constants=CGS):
+def coupling_identities(p):
     """hbar*c/e^2 through two algebraic routes, the rounded-length variant,
     and the e*Phi = m*c^2 shell identity.
     """
     _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: coupling checks undefined for zero charge")
-    direct = constants.hbar * constants.c / p.charge**2
-    via_lengths = compton_wavelength(p, constants) / classical_radius(p, constants)
+    direct = CGS.hbar * CGS.c / p.charge**2
+    via_lengths = compton_wavelength(p) / classical_radius(p)
     # Historical rounded lengths: hbar/mc ~ 3.8e-11 cm, e^2/mc^2 ~ 2.8e-13 cm.
     rounded = 3.8e-11 / 2.8e-13
-    a = classical_radius(p, constants)
+    a = classical_radius(p)
     phi = abs(p.charge) / a
-    e_phi_over_rest = abs(p.charge) * phi / (p.mass * constants.c**2)
+    e_phi_over_rest = abs(p.charge) * phi / (p.mass * CGS.c**2)
     return [
         RatioCheck.relative("hbar-c-over-e2", direct, 137.04, 0.5 / 137.04),
         RatioCheck.relative("hbar-c-over-e2-via-lengths", via_lengths, direct, 1e-12),
@@ -203,24 +173,23 @@ def coupling_identities(p, constants=CGS):
     ]
 
 
-def gravity_em_ratio(p, constants=CGS, reference=1e40, decades=3.0):
-    """e^2/(G m^2) against the heuristic 1e40, order-of-magnitude tolerance."""
+def gravity_em_ratio(p):
+    """e^2/(G m^2) against the heuristic 1e40, within 3 decades."""
     _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: ratio undefined for zero charge")
-    computed = p.charge**2 / (constants.G * p.mass**2)
-    return RatioCheck.order_of_magnitude("charge-to-gravity-ratio", computed,
-                                         reference, decades)
+    computed = p.charge**2 / (CGS.G * p.mass**2)
+    return RatioCheck.order_of_magnitude("charge-to-gravity-ratio", computed, 1e40, 3.0)
 
 
-def monopole_strength(n, constants=CGS):
+def monopole_strength(n):
     """Pole strength mu = n hbar c / (2 e), esu-equivalent."""
     if n < 1 or int(n) != n:
         raise ValueError("winding number n must be a positive integer")
-    return 0.5 * n * constants.hbar * constants.c / constants.e
+    return 0.5 * n * CGS.hbar * CGS.c / CGS.e
 
 
-def extreme_scales(p, constants=CGS):
+def extreme_scales(p):
     """Shortest time/length scales and the exact mc^2 / |p||a| identities.
 
     Returns a dict with t = hbar/(m c^2), x = c t, momentum = m c, the
@@ -228,7 +197,7 @@ def extreme_scales(p, constants=CGS):
     and p_times_a = momentum * x (== hbar exactly).
     """
     _require_massive(p)
-    c, hbar = constants.c, constants.hbar
+    c, hbar = CGS.c, CGS.hbar
     t = hbar / (p.mass * c**2)
     x = c * t
     momentum = p.mass * c

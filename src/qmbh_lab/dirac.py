@@ -60,11 +60,11 @@ class DiracPacket1D:
         return float(np.sum(np.abs(self.a) ** 2) * self.dk)
 
 
-def build_gaussian(sigma_x, x0, p0, seed, n_k=1024, span=8.0, mass=1.0, c=1.0, hbar=1.0):
+def build_gaussian(sigma_x, x0, p0, seed, mass=1.0, c=1.0, hbar=1.0):
     """Gaussian packet a(k) ~ seed exp(-sigma_x^2 (k - p0/hbar)^2) e^{-i k x0}.
 
-    The grid covers p0/hbar +- span/sigma_x; the envelope at the edge is
-    exp(-span^2) of the peak.
+    The 1024-point grid covers p0/hbar +- 8/sigma_x; the envelope at the edge
+    is exp(-64) of the peak.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
@@ -72,8 +72,8 @@ def build_gaussian(sigma_x, x0, p0, seed, n_k=1024, span=8.0, mass=1.0, c=1.0, h
     if np.all(seed == 0):
         raise ValueError("seed spinor must be nonzero")
     k0 = p0 / hbar
-    half = span / sigma_x
-    k = k0 + np.linspace(-half, half, n_k, endpoint=False)
+    half = 8.0 / sigma_x
+    k = k0 + np.linspace(-half, half, 1024, endpoint=False)
     envelope = np.exp(-(sigma_x**2) * (k - k0) ** 2) * np.exp(-1j * k * x0)
     a = seed[:, None] * envelope[None, :]
     packet = DiracPacket1D(k=k, a=a, mass=mass, c=c, hbar=hbar)
@@ -91,18 +91,6 @@ def _hamiltonian_fields(packet):
     hx = packet.c * packet.hbar * packet.k
     hz = packet.mass * packet.c**2 * np.ones_like(packet.k)
     return hx, hz, np.hypot(hx, hz)
-
-
-def evolved(packet, t):
-    """Exact per-mode evolution a(k, t) = exp(-i H(k) t / hbar) a(k)."""
-    hx, hz, e = _hamiltonian_fields(packet)
-    theta = e * t / packet.hbar
-    cos, sin = np.cos(theta), np.sin(theta)
-    nx, nz = hx / e, hz / e
-    a0, a1 = packet.a
-    b0 = (cos - 1j * sin * nz) * a0 + (-1j * sin * nx) * a1
-    b1 = (-1j * sin * nx) * a0 + (cos + 1j * sin * nz) * a1
-    return replace(packet, a=np.stack([b0, b1]))
 
 
 @dataclass(frozen=True)
@@ -304,15 +292,3 @@ def time_average(trace, T):
     fit = fit_trace(times, averaged, omega=trace.fit.omega)
     return ZbwTrace(times=times, x_mean=averaged, fit=fit)
 
-
-def to_position(packet):
-    """(x grid, psi(x) two components) via psi(x) = (2 pi)^-1/2 integral a(k) e^{ikx} dk."""
-    n = packet.k.size
-    dk = packet.dk
-    x = 2 * np.pi * np.fft.fftfreq(n, d=dk)
-    order = np.argsort(x)
-    x = x[order]
-    psi = n * np.fft.ifft(packet.a, axis=-1) * dk / math.sqrt(2 * math.pi)
-    # the grid's reference momentum k[0] re-enters as a plane-wave factor
-    psi = psi[:, order] * np.exp(1j * packet.k[0] * x)[None, :]
-    return x, psi

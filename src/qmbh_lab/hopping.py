@@ -26,19 +26,18 @@ from .constants import RatioCheck
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Periodic chain of n_sites sites, spacing b, diagonal E0, hopping A."""
+    """Periodic chain (hbar = 1) of n_sites sites, spacing b, diagonal E0, hopping A."""
 
     n_sites: int
     b: float
     e0: float
     a: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.n_sites < 16:
             raise ValueError("chain needs at least 16 sites")
-        if self.b <= 0 or self.a <= 0 or self.hbar <= 0:
-            raise ValueError("b, A, hbar must be positive")
+        if self.b <= 0 or self.a <= 0:
+            raise ValueError("b, A must be positive")
 
     def coordinates(self):
         """Site positions centered on the chain, x_i = (i - n/2) b."""
@@ -46,7 +45,7 @@ class ChainSpec:
 
     def m_prime(self):
         """Curvature (effective) mass hbar^2 / (2 A b^2)."""
-        return self.hbar**2 / (2 * self.a * self.b**2)
+        return 1 / (2 * self.a * self.b**2)
 
 
 @dataclass
@@ -86,10 +85,6 @@ def mode_wavenumbers(spec):
     return 2 * np.pi * j / (n * spec.b)
 
 
-def analytic_dispersion(spec, k):
-    return spec.e0 - 2 * spec.a * np.cos(k * spec.b)
-
-
 @dataclass(frozen=True)
 class DispersionResult:
     k: np.ndarray
@@ -124,7 +119,7 @@ def dispersion(spec, fit_window=0.1):
         raise ValueError("fit window contains fewer than 5 modes; enlarge the chain")
     coeffs = np.polyfit(k[sel], energies[sel], 2)
     curvature = 2 * coeffs[0]
-    m_prime_fit = spec.hbar**2 / curvature
+    m_prime_fit = 1 / curvature
     return DispersionResult(k=k, energies=energies, m_prime_fit=m_prime_fit,
                             m_prime_formula=spec.m_prime())
 
@@ -165,19 +160,17 @@ class EmergentMass:
         return math.sqrt(self.m0 * self.m_prime) / self.c
 
 
-def self_consistent_mass(spec, kernel, psi0, damping=0.5, tol=1e-8, max_iter=500,
-                         c=1.0):
+def self_consistent_mass(spec, kernel, psi0, tol=1e-8, max_iter=500):
     """Fixed-point loop for the emergent rest-mass term m0.
 
     Each pass takes the ground state of -(hbar^2/2m') d2/dx2 + m0 (the kinetic
     part is exactly the hopping chain with E0 = 2A), re-evaluates the window
-    integral m0 = sum |psi_i|^2 U(x_i) b, and applies a damped update. That
+    integral m0 = sum |psi_i|^2 U(x_i) b, and moves m0 halfway to it. That
     ground state is the uniform k = 0 mode psi_i = 1/sqrt(N b) for every m0,
     so the integral is the constant mean(U) and the loop is the scalar
-    recursion m0 <- m0 + damping (mean(U) - m0), started from the window
+    recursion m0 <- m0 + (mean(U) - m0) / 2, started from the window
     integral of psi0. Returns (EmergentMass, final AmplitudeVector, history of
-    (iter, m0, delta)); the composite mass uses the light-speed scale `c`
-    (natural-unit default).
+    (iter, m0, delta)); the composite mass is in natural units, c = 1.
     """
     x = spec.coordinates()
     u = kernel.u(x)
@@ -199,7 +192,7 @@ def self_consistent_mass(spec, kernel, psi0, damping=0.5, tol=1e-8, max_iter=500
     iterations = 0
     for it in range(1, max_iter + 1):
         psi = ground
-        new_m0 = m0 + damping * (f - m0)
+        new_m0 = m0 + 0.5 * (f - m0)
         delta = abs(new_m0 - m0) / max(abs(new_m0), 1e-300)
         m0 = new_m0
         history.append((it, m0, delta))
@@ -207,7 +200,7 @@ def self_consistent_mass(spec, kernel, psi0, damping=0.5, tol=1e-8, max_iter=500
         if delta <= tol:
             converged = True
             break
-    em = EmergentMass(m0=m0, m_prime=spec.m_prime(), c=c,
+    em = EmergentMass(m0=m0, m_prime=spec.m_prime(), c=1.0,
                       iterations=iterations, converged=converged)
     return em, psi, history
 

@@ -21,17 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constants import CGS, Constants
+from .constants import CGS
 
 
 @dataclass(frozen=True)
 class KNParams:
-    """Mass (g), charge (esu), angular momentum (erg s) plus the constants set."""
+    """Mass (g), charge (esu) and angular momentum (erg s), in the pinned CGS table."""
 
     mass: float
     charge: float
     angular_momentum: float
-    constants: Constants = CGS
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -39,25 +38,20 @@ class KNParams:
 
     @property
     def m_star(self):
-        k = self.constants
-        return k.G * self.mass / k.c**2
+        return CGS.G * self.mass / CGS.c**2
 
     @property
     def q_star(self):
-        k = self.constants
-        return math.sqrt(k.G) * self.charge / k.c**2
+        return math.sqrt(CGS.G) * self.charge / CGS.c**2
 
     @property
     def a_star(self):
-        return self.angular_momentum / (self.mass * self.constants.c)
+        return self.angular_momentum / (self.mass * CGS.c)
 
     @classmethod
-    def from_particle(cls, p, constants=CGS, angular_momentum=None):
-        """Particle -> KN parameters; L defaults to spin * hbar."""
-        if angular_momentum is None:
-            angular_momentum = p.spin * constants.hbar
-        return cls(mass=p.mass, charge=p.charge,
-                   angular_momentum=angular_momentum, constants=constants)
+    def from_particle(cls, p):
+        """Particle -> KN parameters with L = spin * hbar."""
+        return cls(mass=p.mass, charge=p.charge, angular_momentum=p.spin * CGS.hbar)
 
 
 @dataclass(frozen=True)
@@ -65,11 +59,6 @@ class HorizonResult:
     r_plus: complex
     r_minus: complex
     naked: bool
-
-    @property
-    def b(self):
-        """Imaginary part of r+: the naked-regime 'width'."""
-        return self.r_plus.imag
 
 
 def horizons(p):
@@ -95,12 +84,11 @@ def far_fields(p, r, theta):
     near = 100.0 * max(p.a_star, p.m_star)
     if r < near:
         raise ValueError(f"far-field request at r={r:g} cm inside the near zone (<{near:g})")
-    k = p.constants
     q, a = p.charge, p.a_star
     return FarFieldSample(
         r=r,
         theta=theta,
-        phi_grav=-k.G * p.mass / r,
+        phi_grav=-CGS.G * p.mass / r,
         e_r=q / r**2,
         b_r=2 * q * a * math.cos(theta) / r**3,
         b_theta=q * a * math.sin(theta) / r**3,
@@ -118,14 +106,14 @@ def g_factor(p):
         raise ValueError("g-factor needs positive angular momentum")
     if p.charge == 0:
         raise ValueError("g-factor undefined for zero charge")
-    classical = p.angular_momentum * p.charge / (2 * p.mass * p.constants.c)
+    classical = p.angular_momentum * p.charge / (2 * p.mass * CGS.c)
     return magnetic_moment(p) / classical
 
 
-def div_b_residual(p, r, theta, h_rel=5e-3):
+def div_b_residual(p, r, theta):
     """Spherical divergence of the dipole field at (r, theta), over the field scale.
 
-    Both derivative terms are evaluated with 4th-order central differences;
+    Both terms use 4th-order central differences of step 5e-3 r and 5e-3 rad;
     the residual is |sum| relative to the dipole derivative scale 2|mu|/r^4
     (the individual terms' magnitude at the pole), so it stays meaningful
     where the terms themselves cross zero.
@@ -139,10 +127,8 @@ def div_b_residual(p, r, theta, h_rel=5e-3):
     def deriv4(f, x0, h):
         return (8 * (f(x0 + h) - f(x0 - h)) - (f(x0 + 2 * h) - f(x0 - 2 * h))) / (12 * h)
 
-    hr = h_rel * r
-    hth = h_rel
-    d_r = deriv4(term_r, r, hr) / r**2
-    d_theta = deriv4(term_theta, theta, hth) / (r * math.sin(theta))
+    d_r = deriv4(term_r, r, 5e-3 * r) / r**2
+    d_theta = deriv4(term_theta, theta, 5e-3) / (r * math.sin(theta))
     scale = 2 * abs(magnetic_moment(p)) / r**4
     if scale == 0.0:
         return 0.0

@@ -69,11 +69,11 @@ class ShellSource:
                    np.full(n_elements, mass / n_elements))
 
 
-def default_radius(p, constants=CGS):
+def default_radius(p):
     """Shell radius hbar / (2 m c) for particle p."""
     if p.mass <= 0:
         raise ValueError("massless particle has no Compton-scale shell")
-    return constants.hbar / (2 * p.mass * constants.c)
+    return CGS.hbar / (2 * p.mass * CGS.c)
 
 
 def mass_integral(s):
@@ -87,16 +87,16 @@ def spin_integral(s):
     return math.fsum((s.masses * lever).tolist()) * s.speed
 
 
-def far_potential(s, r, theta=0.0, constants=CGS):
+def far_potential(s, r, theta=0.0):
     """Direct-sum gravitational potential at distance r, colatitude theta."""
     if r < 100 * s.radius:
         raise ValueError(f"probe at r={r:g} is inside the near zone (<{100 * s.radius:g})")
     probe = np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
     dist = np.linalg.norm(s.positions - probe, axis=1)
-    return -constants.G * math.fsum((s.masses / dist).tolist())
+    return -CGS.G * math.fsum((s.masses / dist).tolist())
 
 
-def charge_estimate(s, particle, constants=CGS):
+def charge_estimate(s, particle):
     """Raw-CGS charge arithmetic for the rotating shell.
 
     (a) the trace-potential quadrature 2c * sum(2 G m_i c^2 omega) against its
@@ -108,14 +108,13 @@ def charge_estimate(s, particle, constants=CGS):
     conversion is left at unity and raw CGS magnitudes are compared, which is
     flagged in the returned note.
     """
-    k = constants
     m = mass_integral(s)
     omega = s.omega
-    quad = 2 * k.c * math.fsum((2 * k.G * s.masses * k.c**2 * omega).tolist())
-    closed = 8 * k.G * particle.mass**2 * k.c**5 / k.hbar
-    raw = k.G * particle.mass**2 * k.c**5
-    reference = k.esu_ref * abs(particle.charge)
-    implied = raw / k.esu_ref
+    quad = 2 * CGS.c * math.fsum((2 * CGS.G * s.masses * CGS.c**2 * omega).tolist())
+    closed = 8 * CGS.G * particle.mass**2 * CGS.c**5 / CGS.hbar
+    raw = CGS.G * particle.mass**2 * CGS.c**5
+    reference = CGS.esu_ref * abs(particle.charge)
+    implied = raw / CGS.esu_ref
     note = ("raw-CGS comparison: the sides differ dimensionally by a "
             "(length/time)^5 factor left at unity")
     checks = [
@@ -131,23 +130,21 @@ def charge_estimate(s, particle, constants=CGS):
     return checks
 
 
-def _trace_a0_at(s, point, constants):
+def _trace_a0_at(s, point):
     # stationary-rotation retardation shortcut: d/dt -> (1 + c) d/dtau on the
     # retarded kernel with |dT/dtau| = 2 omega T and element trace (c^2-1) G m_i
-    k = constants
-    factor = 2 * (1 + k.c) * 2 * s.omega * (k.c**2 - 1) * k.G
+    factor = 2 * (1 + CGS.c) * 2 * s.omega * (CGS.c**2 - 1) * CGS.G
     dist = np.linalg.norm(s.positions - point, axis=1)
     return factor * math.fsum((s.masses / dist).tolist())
 
 
-def shell_trace_a0(s, r_values, constants=CGS):
+def shell_trace_a0(s, r_values):
     """Far-zone trace potential A0(r) sampled along an equatorial ray.
 
     Returns (A0 array, log-log slope, coefficient A0*r at the farthest probe).
     """
     r_values = np.asarray(r_values, dtype=np.float64)
-    a0 = np.array([_trace_a0_at(s, np.array([r, 0.0, 0.0]), constants)
-                   for r in r_values])
+    a0 = np.array([_trace_a0_at(s, np.array([r, 0.0, 0.0])) for r in r_values])
     slope = float(np.polyfit(np.log(r_values), np.log(np.abs(a0)), 1)[0])
     return a0, slope, float(a0[-1] * r_values[-1])
 
@@ -200,18 +197,18 @@ class ConfinementFit:
     ratio_closed_form: float
 
 
-def confinement_profile(mass, r, hbar=1.0, c=1.0, include_linear=True):
-    """Near-zone trace: -M/r plus (optionally) 2 M omega^2 r, omega = 2 M c^2/hbar."""
+def confinement_profile(mass, r, include_linear=True):
+    """Near-zone trace -M/r plus (optionally) 2 M omega^2 r, omega = 2 M (hbar = c = 1)."""
     r = np.asarray(r, dtype=np.float64)
-    omega = 2 * mass * c**2 / hbar
+    omega = 2 * mass
     profile = -mass / r
     if include_linear:
         profile = profile + 2 * mass * omega**2 * r
     return profile
 
 
-def confinement_expansion(s, mass, r_samples, hbar=1.0, c=1.0):
-    """Fit alpha/r + sigma*r to the near-zone profile of the rotating source.
+def confinement_expansion(s, mass, r_samples):
+    """Fit alpha/r + sigma*r to the near-zone profile of the rotating source (hbar = c = 1).
 
     The source must rotate at the nominal rate 2 M c^2 / hbar (i.e. sit at
     the default radius for mass M). The fitted coefficient ratio must land on
@@ -220,16 +217,16 @@ def confinement_expansion(s, mass, r_samples, hbar=1.0, c=1.0):
     r = np.asarray(r_samples, dtype=np.float64)
     if r.size < 4:
         raise ValueError("need at least 4 sample radii")
-    r_m = hbar / (2 * mass * c)
+    r_m = 1 / (2 * mass)
     if float(r.min()) < 0.1 * r_m or float(r.max()) > 10 * r_m:
         raise ValueError("samples must lie within [0.1, 10] x hbar/(2 M c)")
-    omega_nominal = 2 * mass * c**2 / hbar
+    omega_nominal = 2 * mass
     if abs(s.omega / omega_nominal - 1) > 1e-6:
         raise ValueError("source rotation rate does not match the requested mass scale")
-    h = confinement_profile(mass, r, hbar=hbar, c=c)
+    h = confinement_profile(mass, r)
     basis = np.stack([1.0 / r, r], axis=1)
     coef, *_ = np.linalg.lstsq(basis, h, rcond=None)
     alpha_c, sigma_l = float(coef[0]), float(coef[1])
     return ConfinementFit(alpha_c=alpha_c, sigma_l=sigma_l,
                           ratio=abs(sigma_l / alpha_c),
-                          ratio_closed_form=8 * (mass * c**2 / hbar) ** 2)
+                          ratio_closed_form=8 * mass**2)

@@ -7,7 +7,7 @@ from qmbh_lab.constants import (BUILTIN_PARTICLES, CGS, ParticleSpec, RatioCheck
                                 classical_radius, compton_wavelength,
                                 coupling_identities, extreme_scales,
                                 gravity_em_ratio, half_compton_wavelength,
-                                load_catalog, monopole_strength)
+                                monopole_strength)
 
 ELECTRON = BUILTIN_PARTICLES["electron"]
 
@@ -205,28 +205,3 @@ class TestCatalog:
     def test_builtin_membership(self):
         assert set(BUILTIN_PARTICLES) == {"electron", "proton", "muon", "neutrino",
                                           "charm"}
-
-    def test_load(self, tmp_path):
-        table = tmp_path / "particles.txt"
-        table.write_text(
-            "# comment line\n"
-            "electron\n"
-            "pion 2.488e-25 4.80320471e-10 0  # explicit entry\n"
-            "\n",
-            encoding="utf-8")
-        catalog = load_catalog(table)
-        assert catalog["electron"] == ELECTRON
-        assert catalog["pion"].mass == 2.488e-25
-        assert catalog["pion"].spin == 0
-
-    def test_unknown_name(self, tmp_path):
-        table = tmp_path / "bad.txt"
-        table.write_text("axion\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown particle"):
-            load_catalog(table)
-
-    def test_malformed_line(self, tmp_path):
-        table = tmp_path / "bad.txt"
-        table.write_text("pion 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected"):
-            load_catalog(table)

@@ -407,6 +407,17 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["run", "nope", "--out", str(tmp_path)])
         assert result.exit_code != 0
 
+    def test_run_unknown_parameter_is_usage_error(self, tmp_path):
+        CliRunner().invoke(cli.main, ["run", "metric-slice", "--out", str(tmp_path)])
+        outdir = tmp_path / "metric-slice"
+        before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        assert "slices.csv" in before
+        result = CliRunner().invoke(
+            cli.main, ["run", "metric-slice", "--lamm", "0.4", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "'lamm'" in result.output
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
     def test_run_all_with_config(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only = ring-model, metric-slice\n", encoding="utf-8")
@@ -460,3 +471,19 @@ class TestCli:
         assert result.exit_code == 0
         assert "kn-horizon,6,6,pass" in result.output
         assert "ring-model,5,5,pass" in result.output
+
+    @pytest.mark.parametrize("damage, error", [
+        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "claims"}), "KeyError"),
+    ], ids=["truncated", "missing-claims"])
+    def test_report_command_names_a_bad_record(self, tmp_path, damage, error):
+        out = tmp_path / "o"
+        experiments.run_all(out, only=["ring-model", "kn-horizon"])
+        bad = out / "kn-horizon" / "report.json"
+        bad.write_text(damage(bad.read_text(encoding="utf-8")), encoding="utf-8")
+        result = CliRunner().invoke(cli.main, ["report", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and str(bad) in lines[0] and error in lines[0]

@@ -44,8 +44,6 @@ class TestHorizons:
         assert h.naked
         assert h.r_plus.real == pytest.approx(ELECTRON_M_STAR, rel=1e-3)
         assert h.r_plus.imag == pytest.approx(1.930796338621417e-11, rel=1e-3)
-        # the naked-regime width b is exposed as the imaginary part
-        assert h.b == h.r_plus.imag
 
     def test_schwarzschild_limit(self):
         p = synthetic_params(1.0, 0.0, 0.0)
