@@ -1,19 +1,19 @@
 """2-D Schrödinger evolution and the Madelung/Bohm hydrodynamic picture.
 
-The wavefunction is split as psi = R e^{iS}, which induces a fluid with
-density rho = R^2, velocity v = (hbar/m) grad S, and quantum potential
-Q = -(hbar^2/2m) lap(R)/R. Around a node the circulation
+Everything runs in natural units hbar = m = 1. The wavefunction is split as
+psi = R e^{iS}, which induces a fluid with density rho = R^2, velocity
+v = grad S, and quantum potential Q = -lap(R)/(2R). Around a node the
+circulation
 
     Gamma = closed-integral of v . dr
 
 is quantized by the phase winding; with the half-integer convention the
-natural unit is pi*hbar/m per half quantum.
+natural unit is pi per half quantum.
 
 Evolution is free (no potential) and exact on a periodic grid: the kinetic
-phases of the steps compose,
-exp(-i hbar k^2 dt/2m)^s = exp(-i hbar k^2 s dt/2m), so `steps` steps of
-dt are one FFT pair (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412,
-1982). The phase is separable, exp(-i c (kx^2 + ky^2)) = p(kx) p(ky), so it
+phases of the steps compose, exp(-i k^2 dt/2)^s = exp(-i k^2 s dt/2), so
+`steps` steps of dt are one FFT pair (Feit, Fleck & Steiger, J. Comput.
+Phys. 47, 412, 1982). The phase is separable, exp(-i c (kx^2 + ky^2)) = p(kx) p(ky), so it
 is the outer product of n one-dimensional exponentials; a Gaussian state is
 likewise the outer product of its 1-D envelope-times-plane-wave factors.
 So a product state fa(x) fb(y) stays a product under free evolution, and its
@@ -24,9 +24,7 @@ Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
 849, 1987). The velocity v of a `MadelungFields` is computed from S on
 first read, since the circulation and Q never need it. Potentials are not
-evolved; Q + V is only evaluated on a given state. Grids default to natural
-units hbar = m = 1; the thin-ring particle model at the bottom of the module
-is the one CGS-facing piece.
+evolved; Q + V is only evaluated on a given state.
 """
 
 import functools
@@ -35,8 +33,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .constants import CGS
 
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
 
@@ -57,16 +53,14 @@ class WaveGrid2D:
 
     psi: np.ndarray
     dx: float
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=np.complex128)
         if self.psi.ndim != 2 or self.psi.shape[0] != self.psi.shape[1]:
             raise ValueError("psi must be a square 2-D array")
         _check_power_of_two_size(self.psi.shape[0])
-        if self.dx <= 0 or self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("dx, mass, hbar must be positive")
+        if self.dx <= 0:
+            raise ValueError("dx must be positive")
         if not np.all(np.isfinite(self.psi.view(np.float64))):
             raise ValueError("psi contains NaN or Inf")
 
@@ -89,11 +83,11 @@ def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
     return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
 
 
-def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0), mass=1.0, hbar=1.0):
+def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0)):
     """Normalized Gaussian |psi|^2 ~ exp(-r^2/(2 sigma^2)), optionally plane-wave boosted."""
     psi = np.outer(*(gaussian_factor(n, dx, sigma, c, kc) for c, kc in zip(center, k)))
     psi /= math.sqrt(np.sum(np.abs(psi) ** 2) * dx**2)
-    return WaveGrid2D(psi, dx, mass=mass, hbar=hbar)
+    return WaveGrid2D(psi, dx)
 
 
 def vortex_state(n, dx, core_radius):
@@ -112,22 +106,22 @@ def _half_wavenumbers(n, dx):
     return kx[:, None], ky[None, :]
 
 
-def _kinetic_phase(n, dx, dt, steps, mass, hbar):
-    """The 1-D factor exp(-i hbar k^2 (steps dt) / 2m) of the free propagator
-    over `steps` steps of dt, in FFT order."""
+def _kinetic_phase(n, dx, dt, steps):
+    """The 1-D factor exp(-i k^2 (steps dt) / 2) of the free propagator over
+    `steps` steps of dt, in FFT order."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    return np.exp(-0.5j * hbar * k**2 * (steps * dt) / mass)
+    return np.exp(-0.5j * k**2 * (steps * dt))
 
 
 def evolve(grid, dt, steps):
     """Free evolution for `steps` steps of size dt: one exact k-space phase."""
-    p = _kinetic_phase(grid.n, grid.dx, dt, steps, grid.mass, grid.hbar)
+    p = _kinetic_phase(grid.n, grid.dx, dt, steps)
     spectrum = np.fft.fft2(grid.psi)
     np.multiply(np.outer(p, p), spectrum, out=spectrum)
     psi = np.fft.ifft2(spectrum)
-    return WaveGrid2D(psi, grid.dx, mass=grid.mass, hbar=grid.hbar)
+    return WaveGrid2D(psi, grid.dx)
 
 
 @dataclass
@@ -136,7 +130,7 @@ class MadelungFields:
 
     S is stored modulo `phase_period` at each node (2*pi for fields coming
     from a single-valued psi; pi for directly constructed two-sheeted
-    fields). v = (hbar/m) grad S has shape (2, N, N), x-component first, and
+    fields). v = grad S has shape (2, N, N), x-component first, and
     is computed on first read.
     """
 
@@ -144,8 +138,6 @@ class MadelungFields:
     S: np.ndarray
     node_mask: np.ndarray
     dx: float
-    mass: float = 1.0
-    hbar: float = 1.0
     phase_period: float = 2 * math.pi
 
     @property
@@ -157,9 +149,7 @@ class MadelungFields:
 
     @functools.cached_property
     def v(self):
-        v = _wrapped_gradient(self.S, self.dx, self.phase_period)
-        v *= self.hbar / self.mass
-        return v
+        return _wrapped_gradient(self.S, self.dx, self.phase_period)
 
 
 def _wrap_centered(delta, period):
@@ -205,19 +195,17 @@ def decompose(grid):
     R = amp
     S = np.angle(grid.psi)
     mask = R < NODE_MASK_RELATIVE_THRESHOLD * peak
-    return MadelungFields(R=R, S=S, node_mask=mask, dx=grid.dx,
-                          mass=grid.mass, hbar=grid.hbar)
+    return MadelungFields(R=R, S=S, node_mask=mask, dx=grid.dx)
 
 
-def synthetic_fields(R, S, dx, mass=1.0, hbar=1.0, phase_period=2 * math.pi):
+def synthetic_fields(R, S, dx, phase_period=2 * math.pi):
     """Build MadelungFields directly from (R, S) grids, e.g. a two-sheeted S."""
     R = np.asarray(R, dtype=np.float64)
     S = np.asarray(S, dtype=np.float64)
     if R.shape != S.shape:
         raise ValueError("R and S must share a shape")
     mask = R < NODE_MASK_RELATIVE_THRESHOLD * float(R.max())
-    return MadelungFields(R=R, S=S, node_mask=mask, dx=dx, mass=mass,
-                          hbar=hbar, phase_period=phase_period)
+    return MadelungFields(R=R, S=S, node_mask=mask, dx=dx, phase_period=phase_period)
 
 
 def _spectral_laplacian(field, dx):
@@ -241,11 +229,11 @@ def _spectral_divergence(fx, fy, dx):
 
 
 def quantum_potential(fields):
-    """Q = -(hbar^2/2m) lap(R)/R, masked at nodes."""
+    """Q = -lap(R)/(2R), masked at nodes."""
     if bool(fields.node_mask.all()):
         raise ValueError("no off-mask region: field is zero everywhere")
     lap = _spectral_laplacian(fields.R, fields.dx)
-    lap *= -(fields.hbar**2 / (2 * fields.mass))
+    lap *= -0.5
     lap /= np.where(fields.node_mask, 1.0, fields.R)
     return np.ma.masked_array(lap, mask=fields.node_mask)
 
@@ -298,8 +286,8 @@ def circulation(fields, loop):
     """Circulation of v around `loop` by segment-wise phase-difference summation.
 
     Each segment's phase difference is reduced into (-p/2, p/2] where p is the
-    field's phase period, so gamma = (hbar/m) * sum of local dS. half_quanta
-    is m*gamma/(pi*hbar) together with its nearest integer and residual.
+    field's phase period, so gamma = sum of local dS. half_quanta is
+    gamma/pi together with its nearest integer and residual.
     """
     nodes = np.array(loop.nodes)
     outside = ((nodes < 0) | (nodes >= fields.n)).any(axis=1)
@@ -314,9 +302,8 @@ def circulation(fields, loop):
     deltas = _wrap_centered(np.roll(s, -1) - s, fields.phase_period)
     # left to right in loop order: np.sum's pairwise order would move the
     # last bits of gamma
-    total = sum(deltas.tolist(), 0.0)
-    gamma = (fields.hbar / fields.mass) * total
-    half_quanta = fields.mass * gamma / (math.pi * fields.hbar)
+    gamma = sum(deltas.tolist(), 0.0)
+    half_quanta = gamma / math.pi
     nearest = int(round(half_quanta))
     return CirculationResult(gamma=gamma, half_quanta=half_quanta, nearest=nearest,
                              residual=abs(half_quanta - nearest))
@@ -351,15 +338,14 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
 
 # Product states. The free propagator's phase is p(kx) p(ky), so a state
 # fa(x) fb(y) stays a product; its density, velocity and Q follow from the
-# two 1-D factors without any n x n complex grid. These forms are in units
-# hbar = m = 1, the only units the experiments use.
+# two 1-D factors without any n x n complex grid.
 
 def evolve_factor(f, dx, dt, steps):
     """One factor of a product state evolved freely: `evolve` of outer(fa, fb)
     is the outer product of the two evolved factors."""
     if np.ndim(f) != 1 or not np.isfinite(f).all():
         raise ValueError("factor must be a finite 1-D array")
-    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps, 1.0, 1.0) * np.fft.fft(f))
+    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps) * np.fft.fft(f))
 
 
 def _rfft_derivative(f, dx, order):
@@ -419,52 +405,6 @@ def product_q_plus_v_std(r, dx, potential):
     h += potential(centered_axis(r.size, dx))
     R = np.outer(r, r)
     return float(np.add.outer(h, h)[R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()].std())
-
-
-@dataclass(frozen=True)
-class RingModel:
-    """Thin relativistic ring: radius n*hbar/(2 m c), energy m c^2."""
-
-    winding: int
-    mass: float
-    radius: float
-    energy: float
-
-
-def ring_model(n, mass):
-    """Ring of winding n for rest mass `mass` (g), verified by quadrature.
-
-    The defining line integrals sum(rho c^2 ds) = m c^2 and
-    m c sum(ds) = n h / 2 are re-evaluated over 4096 ring elements and
-    must close to 1e-10 relative.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError("winding must be a positive integer")
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    c, hbar = CGS.c, CGS.hbar
-    radius = n * hbar / (2 * mass * c)
-    energy = mass * c**2
-    model = RingModel(winding=int(n), mass=mass, radius=radius, energy=energy)
-    checks = ring_quadrature_checks(model)
-    for name, value in checks.items():
-        if abs(value - 1.0) > 1e-10:
-            raise ArithmeticError(f"ring quadrature identity {name} drifted: {value!r}")
-    return model
-
-
-def ring_quadrature_checks(model):
-    """Ratios of the two ring line integrals over 4096 elements to their closed forms."""
-    c, segments = CGS.c, 4096
-    ds = 2 * math.pi * model.radius / segments
-    line_density = model.mass / (2 * math.pi * model.radius)
-    energy_sum = math.fsum([line_density * c**2 * ds] * segments)
-    action_sum = math.fsum([model.mass * c * ds] * segments)
-    h = 2 * math.pi * CGS.hbar
-    return {
-        "energy_over_mc2": energy_sum / (model.mass * c**2),
-        "action_over_nh_half": action_sum / (model.winding * h / 2),
-    }
 
 
 # Flat binary snapshot: 16-byte header (N, dx as little-endian float64),

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import click
 
-from .experiments import (EXPERIMENTS, ExperimentSpec, parse_config, run,
-                          run_all, summary_lines, ExperimentReport)
+from .experiments import (EXPERIMENTS, ExperimentSpec, parse_config,
+                          resolve_parameters, run, run_all, summary_lines,
+                          ExperimentReport)
 
 OUT_ENV_VAR = "QMBH_OUT"
 
@@ -45,20 +46,27 @@ def list_experiments():
 @click.option("--out", "out_flag", default=None, help="Output root directory.")
 @click.pass_context
 def run_one(ctx, experiment_id, out_flag):
-    """Run one experiment: qmbh run <id> [--key value ...]."""
+    """Run one experiment: qmbh run <id> [--key value ...].
+
+    An unknown, repeated or out-of-domain parameter is a usage error (exit
+    status 2) that leaves the output directory untouched.
+    """
     tokens = list(ctx.args)
     params = {}
     while tokens:
         key = tokens.pop(0)
         if not key.startswith("--") or not tokens:
             raise click.UsageError(f"expected `--key value` pairs, got {key!r}")
-        params[key[2:].replace("-", "_")] = tokens.pop(0)
+        name = key[2:].replace("-", "_")
+        if name in params:
+            raise click.UsageError(f"parameter {name!r} given twice")
+        params[name] = tokens.pop(0)
     if experiment_id not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment id {experiment_id!r}")
-    unknown = [key for key in params if key not in EXPERIMENTS[experiment_id].params]
-    if unknown:
-        raise click.UsageError(f"unknown parameter {unknown[0]!r} for experiment "
-                               f"{experiment_id!r}")
+    try:
+        resolve_parameters(EXPERIMENTS[experiment_id], params)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     out_root = _default_out(out_flag)
     report = run(ExperimentSpec(experiment_id, params, out_root / experiment_id))
     for c in report.claims:

@@ -11,8 +11,8 @@ and averaging over a Compton time pi hbar / (m c^2) wipes the oscillation
 out; both traces follow in closed form from each mode's Bloch precession,
 summed over modes by angle addition on the uniform time grid: a coarse and a
 fine trig table joined by real matrix products.
-Everything runs in natural units (hbar = c = m = 1) unless a packet is built
-otherwise.
+Everything runs in natural units hbar = c = m = 1, so H(k) = k sigma_x +
+sigma_z, Omega ~ 2 and the Compton length is 1.
 """
 
 import math
@@ -22,13 +22,16 @@ import numpy as np
 
 @dataclass
 class DiracPacket1D:
-    """Two-component spinor amplitudes a[:, j] on a uniform momentum grid k[j]."""
+    """Two-component spinor amplitudes a[:, j] on a uniform momentum grid k[j],
+    in natural units: the class constants are those units and the scales
+    they fix."""
 
     k: np.ndarray
     a: np.ndarray
-    mass: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
+
+    mass = c = hbar = 1.0
+    compton_length = 1.0          # hbar / (m c)
+    zbw_omega = 2.0               # 2 m c^2 / hbar
 
     def __post_init__(self):
         self.k = np.asarray(self.k, dtype=np.float64)
@@ -41,43 +44,30 @@ class DiracPacket1D:
         steps = np.diff(self.k)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
             raise ValueError("momentum grid must be uniform")
-        if self.mass <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise ValueError("mass, c, hbar must be positive")
 
     @property
     def dk(self):
         return float(self.k[1] - self.k[0])
 
-    @property
-    def compton_length(self):
-        return self.hbar / (self.mass * self.c)
-
-    @property
-    def zbw_omega(self):
-        return 2 * self.mass * self.c**2 / self.hbar
-
     def norm(self):
         return float(np.sum(np.abs(self.a) ** 2) * self.dk)
 
 
-def build_gaussian(sigma_x, x0, p0, seed, mass=1.0, c=1.0, hbar=1.0):
-    """Gaussian packet a(k) ~ seed exp(-sigma_x^2 (k - p0/hbar)^2) e^{-i k x0}.
+def build_gaussian(sigma_x, x0, p0, seed):
+    """Gaussian packet a(k) ~ seed exp(-sigma_x^2 (k - p0)^2) e^{-i k x0}.
 
-    The 1024-point grid covers p0/hbar +- 8/sigma_x; the envelope at the edge
-    is exp(-64) of the peak.
+    The 1024-point grid covers p0 +- 8/sigma_x; the envelope at the edge is
+    exp(-64) of the peak.
     """
     if sigma_x <= 0:
         raise ValueError("sigma_x must be positive")
     seed = np.asarray(seed, dtype=np.complex128).reshape(2)
     if np.all(seed == 0):
         raise ValueError("seed spinor must be nonzero")
-    k0 = p0 / hbar
     half = 8.0 / sigma_x
-    k = k0 + np.linspace(-half, half, 1024, endpoint=False)
-    envelope = np.exp(-(sigma_x**2) * (k - k0) ** 2) * np.exp(-1j * k * x0)
-    a = seed[:, None] * envelope[None, :]
-    packet = DiracPacket1D(k=k, a=a, mass=mass, c=c, hbar=hbar)
-    return normalized(packet)
+    k = p0 + np.linspace(-half, half, 1024, endpoint=False)
+    envelope = np.exp(-(sigma_x**2) * (k - p0) ** 2) * np.exp(-1j * k * x0)
+    return normalized(DiracPacket1D(k=k, a=seed[:, None] * envelope[None, :]))
 
 
 def normalized(packet):
@@ -88,8 +78,9 @@ def normalized(packet):
 
 
 def _hamiltonian_fields(packet):
-    hx = packet.c * packet.hbar * packet.k
-    hz = packet.mass * packet.c**2 * np.ones_like(packet.k)
+    """(hx, hz, E) of H(k) = hx sigma_x + hz sigma_z: hx = k, hz = 1."""
+    hx = packet.k
+    hz = np.ones_like(hx)
     return hx, hz, np.hypot(hx, hz)
 
 
@@ -145,13 +136,10 @@ def mean_position(packet):
 
 @dataclass(frozen=True)
 class ZbwFit:
-    offset: float
     slope: float
     amplitude: float
     omega: float
-    phase: float
     rms_residual: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -201,20 +189,15 @@ def fit_trace(times, values, omega=None):
             if abs(step) <= 1e-15 * omega:
                 break
     _, coef, resid = _linear_sinusoid_solve(t, x, omega)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    amplitude = float(np.hypot(coef[2], coef[3]))
-    phase = float(math.atan2(coef[3], coef[2]))
-    scale = float(np.max(np.abs(x - np.mean(x)))) if x.size else 0.0
-    ok = rms <= 0.1 * max(amplitude, 1e-12 * max(scale, 1.0))
-    return ZbwFit(offset=float(coef[0]), slope=float(coef[1]), amplitude=amplitude,
-                  omega=float(omega), phase=phase, rms_residual=rms, ok=ok)
+    return ZbwFit(slope=float(coef[1]), amplitude=float(np.hypot(coef[2], coef[3])),
+                  omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
 def _bloch_traces(packet, t_max, samples):
-    """(times, <x>, <c sigma_x>) in closed form. exp(-iHt/hbar) turns each mode's
-    Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et/hbar, so
-    <c sigma_x> = c sum [n_x n.s + cos(2Et/hbar)(s_x - n_x n.s) - sin(2Et/hbar) n_z s_y]
-    and <x> is <x>(0) plus its exact time integral (d<x>/dt = <c sigma_x>).
+    """(times, <x>, <sigma_x>) in closed form. exp(-iHt) turns each mode's
+    Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
+    <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
+    and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
 
     The samples sit at t = (j b + r) dt with b = isqrt(samples - 1) + 1, j < q =
     ceil(samples / b) and r < b, so angle addition splits every phase into a
@@ -230,11 +213,11 @@ def _bloch_traces(packet, t_max, samples):
     hx, hz, e = _hamiltonian_fields(packet)
     nx, nz = hx / e, hz / e
     a0, a1 = packet.a
-    weight = packet.c * packet.dk / packet.norm()
+    weight = packet.dk / packet.norm()
     cross = 2 * weight * np.conj(a0) * a1
     drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
     beat_cos, beat_sin = cross.real - drift, nz * cross.imag
-    omega = 2 * e / packet.hbar
+    omega = 2 * e
     times = np.linspace(0.0, t_max, samples)
     dt = times[1] - times[0]
     b = math.isqrt(samples - 1) + 1

@@ -13,7 +13,7 @@ iterated here to a fixed point. With E0 = 2A the linearized Hamiltonian is
 circulant, so its ground state is the uniform k = 0 mode for every m0 and
 the fixed point is m0 = mean(U) over the chain sites; the iteration runs as
 a scalar recursion with no matrix built. The composite rest mass is
-m = sqrt(m0 * m') / c.
+m = sqrt(m0 * m') / c. Everything runs in natural units hbar = c = 1.
 """
 
 import math
@@ -150,14 +150,15 @@ class NonlocalKernel:
 class EmergentMass:
     m0: float
     m_prime: float
-    c: float
     iterations: int
     converged: bool
 
+    c = 1.0  # natural units
+
     @property
     def m(self):
-        """Composite rest mass (m0 m')^(1/2) / c."""
-        return math.sqrt(self.m0 * self.m_prime) / self.c
+        """Composite rest mass (m0 m')^(1/2) / c, with c = 1."""
+        return math.sqrt(self.m0 * self.m_prime)
 
 
 def self_consistent_mass(spec, kernel, psi0, tol=1e-8, max_iter=500):
@@ -200,8 +201,8 @@ def self_consistent_mass(spec, kernel, psi0, tol=1e-8, max_iter=500):
         if delta <= tol:
             converged = True
             break
-    em = EmergentMass(m0=m0, m_prime=spec.m_prime(), c=1.0,
-                      iterations=iterations, converged=converged)
+    em = EmergentMass(m0=m0, m_prime=spec.m_prime(), iterations=iterations,
+                      converged=converged)
     return em, psi, history
 
 
@@ -213,13 +214,12 @@ def emergent_hamiltonian_check(em, p_max, samples=401):
     """
     if not em.converged:
         raise ValueError("emergent mass did not converge; check the fixed point")
-    m, c = em.m, em.c
+    m = em.m
     p = np.linspace(-p_max, p_max, samples)
-    rest = m * c**2
-    e_nr = p**2 / (2 * m) + rest
-    e_rel = np.sqrt(p**2 * c**2 + m**2 * c**4)
-    deviation = float(np.max(np.abs(e_nr - e_rel)) / rest)
-    bound = (p_max / (m * c)) ** 4 / 8 + 1e-9
+    e_nr = p**2 / (2 * m) + m
+    e_rel = np.sqrt(p**2 + m**2)
+    deviation = float(np.max(np.abs(e_nr - e_rel)) / m)
+    bound = (p_max / m) ** 4 / 8 + 1e-9
     mid = samples // 2
     return [
         RatioCheck.upper_bound("dispersion-vs-relativity", deviation, bound,

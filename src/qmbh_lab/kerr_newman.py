@@ -21,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CGS
 
 
@@ -72,7 +74,7 @@ def horizons(p):
 @dataclass(frozen=True)
 class FarFieldSample:
     r: float
-    theta: float
+    theta: float                  # float or array; b_r and b_theta follow it
     phi_grav: float
     e_r: float
     b_r: float
@@ -80,7 +82,9 @@ class FarFieldSample:
 
 
 def far_fields(p, r, theta):
-    """Leading far-zone multipoles: monopole potential and charge, dipole field."""
+    """Leading far-zone multipoles: monopole potential and charge, dipole field.
+    `theta` may be an array of colatitudes; the dipole components broadcast
+    over it."""
     near = 100.0 * max(p.a_star, p.m_star)
     if r < near:
         raise ValueError(f"far-field request at r={r:g} cm inside the near zone (<{near:g})")
@@ -90,8 +94,8 @@ def far_fields(p, r, theta):
         theta=theta,
         phi_grav=-CGS.G * p.mass / r,
         e_r=q / r**2,
-        b_r=2 * q * a * math.cos(theta) / r**3,
-        b_theta=q * a * math.sin(theta) / r**3,
+        b_r=2 * q * a * np.cos(theta) / r**3,
+        b_theta=q * a * np.sin(theta) / r**3,
     )
 
 
@@ -111,7 +115,8 @@ def g_factor(p):
 
 
 def div_b_residual(p, r, theta):
-    """Spherical divergence of the dipole field at (r, theta), over the field scale.
+    """Spherical divergence of the dipole field at (r, theta), over the field
+    scale; `theta` may be an array, and the residual broadcasts over it.
 
     Both terms use 4th-order central differences of step 5e-3 r and 5e-3 rad;
     the residual is |sum| relative to the dipole derivative scale 2|mu|/r^4
@@ -122,17 +127,17 @@ def div_b_residual(p, r, theta):
         return rr**2 * far_fields(p, rr, theta).b_r
 
     def term_theta(th):
-        return math.sin(th) * far_fields(p, r, th).b_theta
+        return np.sin(th) * far_fields(p, r, th).b_theta
 
     def deriv4(f, x0, h):
         return (8 * (f(x0 + h) - f(x0 - h)) - (f(x0 + 2 * h) - f(x0 - 2 * h))) / (12 * h)
 
     d_r = deriv4(term_r, r, 5e-3 * r) / r**2
-    d_theta = deriv4(term_theta, theta, 5e-3) / (r * math.sin(theta))
+    d_theta = deriv4(term_theta, theta, 5e-3) / (r * np.sin(theta))
     scale = 2 * abs(magnetic_moment(p)) / r**4
     if scale == 0.0:
-        return 0.0
-    return abs(d_r + d_theta) / scale
+        return np.zeros_like(d_theta)
+    return np.abs(d_r + d_theta) / scale
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,6 @@ class MetricSlice:
     dt2_coeff: float
     dr2_coeff: float
     doubling_factor: float
-    delta: float
-    rho2: float
 
 
 def metric_slice(a, m, e, r, theta, lam):
@@ -168,5 +171,4 @@ def metric_slice(a, m, e, r, theta, lam):
     dt2 = -(delta / rho2) * (1 - lam * sin2) ** 2 \
         + (sin2 / rho2) * ((r * r + a * a) * lam / a - a) ** 2
     dr2 = rho2 / delta
-    return MetricSlice(dt2_coeff=dt2, dr2_coeff=dr2, doubling_factor=1.0 / lam,
-                       delta=delta, rho2=rho2)
+    return MetricSlice(dt2_coeff=dt2, dr2_coeff=dr2, doubling_factor=1.0 / lam)

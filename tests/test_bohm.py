@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from qmbh_lab import bohm, experiments
-from qmbh_lab.constants import BUILTIN_PARTICLES, CGS
-
-ELECTRON = BUILTIN_PARTICLES["electron"]
 
 
 def harmonic_ground_state(n=256, box=16.0):
@@ -78,7 +75,7 @@ class TestEvolve:
         dt = 5e-4
         k = 2 * np.pi * np.fft.fftfreq(g.n, d=g.dx)
         KX, KY = np.meshgrid(k, k, indexing="ij")
-        P = np.exp(-0.5j * g.hbar * (KX**2 + KY**2) * dt / g.mass)
+        P = np.exp(-0.5j * (KX**2 + KY**2) * dt)
         psi = g.psi
         for _ in range(400):
             psi = np.fft.ifft2(P * np.fft.fft2(psi))
@@ -88,8 +85,8 @@ class TestEvolve:
     @pytest.mark.parametrize("n, box, s0, t", [(256, 40.0, 1.5, 1.0),
                                                (256, 60.0, 1.0, 3.0)])
     def test_free_gaussian_spreading(self, n, box, s0, t):
-        # oracle: a free Gaussian's per-axis variance is s0^2 + (hbar t/(2 m s0))^2
-        # and its centroid moves by hbar k t / m
+        # oracle: a free Gaussian's per-axis variance is s0^2 + (t/(2 s0))^2
+        # and its centroid moves by k t (hbar = m = 1)
         kx, ky = 1.0, 0.5
         g = bohm.gaussian_state(n, box / n, sigma=s0, k=(kx, ky))
         out = bohm.evolve(g, t, 1)
@@ -97,10 +94,10 @@ class TestEvolve:
         X, Y = np.meshgrid(x, x, indexing="ij")
         rho = np.abs(out.psi) ** 2
         rho /= rho.sum()
-        variance = s0**2 + (g.hbar * t / (2 * g.mass * s0)) ** 2
+        variance = s0**2 + (t / (2 * s0)) ** 2
         for coord, k_axis in ((X, kx), (Y, ky)):
             centroid = float((coord * rho).sum())
-            assert centroid == pytest.approx(g.hbar * k_axis * t / g.mass, rel=1e-10)
+            assert centroid == pytest.approx(k_axis * t, rel=1e-10)
             spread = float(((coord - centroid) ** 2 * rho).sum())
             assert spread == pytest.approx(variance, rel=1e-10)
 
@@ -108,12 +105,11 @@ class TestEvolve:
     @pytest.mark.parametrize("steps", [0, 1, 400])
     def test_separable_phase_matches_2d_exp(self, n, steps):
         # reference: the kinetic phase as n^2 exponentials on the 2-D k mesh
-        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5), mass=1.3,
-                                hbar=0.8)
+        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
         dt = 5e-4
         k = 2 * np.pi * np.fft.fftfreq(n, d=g.dx)
         KX, KY = np.meshgrid(k, k, indexing="ij")
-        phase = np.exp(-0.5j * g.hbar * (KX**2 + KY**2) * (steps * dt) / g.mass)
+        phase = np.exp(-0.5j * (KX**2 + KY**2) * (steps * dt))
         psi = np.fft.ifft2(phase * np.fft.fft2(g.psi))
         out = bohm.evolve(g, dt, steps)
         assert np.max(np.abs(out.psi - psi)) <= 1e-13 * np.max(np.abs(psi))
@@ -164,13 +160,12 @@ class TestDecompose:
         assert np.max(np.abs(back - g.psi)) <= 1e-12 * np.max(np.abs(g.psi))
 
     def test_velocity_is_computed_on_first_read(self):
-        g = bohm.gaussian_state(128, 0.2, sigma=1.0, k=(0.7, -0.4), mass=2.0,
-                                hbar=0.5)
+        g = bohm.gaussian_state(128, 0.2, sigma=1.0, k=(0.7, -0.4))
         f = bohm.decompose(g)
         assert "v" not in f.__dict__
         bohm.quantum_potential(f)
         assert "v" not in f.__dict__
-        expected = (0.5 / 2.0) * bohm._wrapped_gradient(f.S, f.dx, 2 * math.pi)
+        expected = bohm._wrapped_gradient(f.S, f.dx, 2 * math.pi)
         assert np.array_equal(f.v, expected)
         assert f.__dict__["v"] is f.v
 
@@ -179,13 +174,12 @@ class TestDecompose:
         x = (np.arange(n) - n // 2) * dx
         X, Y = np.meshgrid(x, x, indexing="ij")
         S = 0.5 * np.arctan2(Y, X)
-        f = bohm.synthetic_fields(np.ones((n, n)), S, dx, mass=3.0, hbar=1.5,
-                                  phase_period=math.pi)
+        f = bohm.synthetic_fields(np.ones((n, n)), S, dx, phase_period=math.pi)
         assert "v" not in f.__dict__
         c = n // 2
         bohm.circulation(f, bohm.LoopPath.rectangle(c - 20, c - 20, c + 20, c + 20))
         assert "v" not in f.__dict__
-        assert np.array_equal(f.v, 0.5 * bohm._wrapped_gradient(S, dx, math.pi))
+        assert np.array_equal(f.v, bohm._wrapped_gradient(S, dx, math.pi))
 
     def test_zero_field_rejected(self):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)
@@ -318,7 +312,7 @@ class TestCirculation:
                 delta = float(fields.S[i1, j1] - fields.S[i0, j0])
                 total += float(bohm._wrap_centered(np.float64(delta),
                                                    fields.phase_period))
-            return (fields.hbar / fields.mass) * total
+            return total
 
         n, dx, c = self.n, self.dx, self.center
         x = (np.arange(n) - n // 2) * dx
@@ -384,7 +378,7 @@ def where_continuity_residual(grid_minus, grid_center, grid_plus, dt):
     rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
     f = bohm.decompose(grid_center)
     rho = f.density()
-    v = (f.hbar / f.mass) * stacked_wrapped_gradient(f.S, f.dx, f.phase_period)
+    v = stacked_wrapped_gradient(f.S, f.dx, f.phase_period)
     vx = np.where(f.node_mask, 0.0, v[0])
     vy = np.where(f.node_mask, 0.0, v[1])
     div = bohm._spectral_divergence(rho * vx, rho * vy, grid_center.dx)
@@ -497,30 +491,6 @@ class TestProductStates:
             bohm.product_continuity_residual(f, np.zeros(64), 0.2, 1e-3, 1)
         with pytest.raises(ValueError, match="identically zero"):
             bohm.product_q_plus_v_std(np.zeros(64), 0.2, np.zeros_like)
-
-
-class TestRingModel:
-    def test_electron_radius(self):
-        m = bohm.ring_model(1, ELECTRON.mass)
-        assert m.radius == pytest.approx(1.930796338621417e-11, rel=1e-12)
-        assert m.energy == pytest.approx(ELECTRON.mass * CGS.c**2, rel=1e-15)
-
-    def test_radius_linear_in_winding(self):
-        m1 = bohm.ring_model(1, ELECTRON.mass)
-        m2 = bohm.ring_model(2, ELECTRON.mass)
-        assert m2.radius == pytest.approx(2 * m1.radius, rel=1e-15)
-
-    def test_quadrature_identities(self):
-        model = bohm.ring_model(3, 2.5e-25)
-        checks = bohm.ring_quadrature_checks(model)
-        assert abs(checks["energy_over_mc2"] - 1.0) <= 1e-10
-        assert abs(checks["action_over_nh_half"] - 1.0) <= 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="winding"):
-            bohm.ring_model(0, 1e-27)
-        with pytest.raises(ValueError, match="mass"):
-            bohm.ring_model(1, 0.0)
 
 
 class TestSnapshots:

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from qmbh_lab import cli, experiments
-from qmbh_lab.constants import RatioCheck
+from qmbh_lab.constants import BUILTIN_PARTICLES, CGS, RatioCheck
 
 REGISTERED_IDS = [
     "constants-report", "bohm-vortex", "ring-model", "hopping-dispersion",
@@ -170,6 +170,34 @@ class TestRegistry:
         report = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4.5"},
                                                             tmp_path))
         assert report.status == "pass", report.error
+
+
+class TestRingModel:
+    """ring-model runs on lin_gravity's luminal ring."""
+
+    RING_CLAIMS = ["ring-radius-n1", "ring-energy", "ring-radius-doubling",
+                   "ring-energy-quadrature", "ring-action-quadrature"]
+
+    @pytest.mark.parametrize(
+        "particle", experiments.EXPERIMENTS["ring-model"].params["particle"].choices)
+    def test_claims_pass_and_rows_are_closed_forms(self, tmp_path, particle):
+        report = experiments.run(experiments.ExperimentSpec(
+            "ring-model", {"particle": particle}, tmp_path))
+        assert report.status == "pass", report.error
+        assert [c.id for c in report.claims] == self.RING_CLAIMS
+        # oracle: winding n has radius n hbar / (2 m c) and energy m c^2
+        m = BUILTIN_PARTICLES[particle].mass
+        lines = (tmp_path / "ring.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "winding,mass_g,radius_cm,energy_erg"
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert rows == [[n, m, n * CGS.hbar / (2 * m * CGS.c), m * CGS.c**2]
+                        for n in (1, 2)]
+
+    def test_electron_radius(self, tmp_path):
+        experiments.run(experiments.ExperimentSpec("ring-model", {}, tmp_path))
+        lines = (tmp_path / "ring.csv").read_text(encoding="utf-8").splitlines()
+        radius = float(lines[1].split(",")[2])
+        assert radius == pytest.approx(1.930796338621417e-11, rel=1e-12)
 
 
 class TestRun:
@@ -408,15 +436,19 @@ class TestCli:
         assert result.exit_code != 0
 
     def test_run_unknown_parameter_is_usage_error(self, tmp_path):
+        # an unknown name, an out-of-domain value and a repeated flag all exit
+        # 2 before the previous run's tables are cleared
         CliRunner().invoke(cli.main, ["run", "metric-slice", "--out", str(tmp_path)])
         outdir = tmp_path / "metric-slice"
         before = {f.name: f.read_bytes() for f in outdir.iterdir()}
-        assert "slices.csv" in before
-        result = CliRunner().invoke(
-            cli.main, ["run", "metric-slice", "--lamm", "0.4", "--out", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "'lamm'" in result.output
-        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+        assert {"slices.csv", "report.json"} <= set(before)
+        for flags, name in [(["--lamm", "0.4"], "'lamm'"), (["--lam", "5"], "'lam'"),
+                            (["--lam", "0.3", "--lam", "0.5"], "'lam'")]:
+            result = CliRunner().invoke(
+                cli.main, ["run", "metric-slice", *flags, "--out", str(tmp_path)])
+            assert result.exit_code == 2, flags
+            assert name in result.output
+            assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
 
     def test_run_all_with_config(self, tmp_path):
         cfg = tmp_path / "suite.cfg"

@@ -203,8 +203,7 @@ class TestEmergentHamiltonianCheck:
         assert dev > 1.5e-5  # fails the small-momentum tolerance, as it should
 
     def test_requires_convergence(self):
-        bad = hopping.EmergentMass(m0=0.5, m_prime=1.0, c=1.0, iterations=500,
-                                   converged=False)
+        bad = hopping.EmergentMass(m0=0.5, m_prime=1.0, iterations=500, converged=False)
         with pytest.raises(ValueError, match="converge"):
             hopping.emergent_hamiltonian_check(bad, 0.1)
 
