@@ -10,7 +10,8 @@ branches makes the mean position oscillate (zitterbewegung) at
 and averaging over a Compton time pi hbar / (m c^2) wipes the oscillation
 out; both traces follow in closed form from each mode's Bloch precession,
 summed over modes by angle addition on the uniform time grid: a coarse and a
-fine trig table joined by real matrix products.
+fine trig table joined by real matrix products. The tables depend on the k
+grid alone, so a packet and its projected branch share them.
 Everything runs in natural units hbar = c = m = 1, so H(k) = k sigma_x +
 sigma_z, Omega ~ 2 and the Compton length is 1.
 """
@@ -193,9 +194,10 @@ def fit_trace(times, values, omega=None):
                   omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def _bloch_traces(packet, t_max, samples):
-    """(times, <x>, <sigma_x>) in closed form. exp(-iHt) turns each mode's
-    Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
+def _bloch_traces(packets, t_max, samples):
+    """(times, [(<x>, <sigma_x>) per packet]) in closed form, for packets on
+    one k grid. exp(-iHt) turns each mode's Bloch vector
+    s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
     <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
     and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
 
@@ -205,18 +207,14 @@ def _bloch_traces(packet, t_max, samples):
     non-uniform FFTs; Dutt & Rokhlin 1993). The beat coefficients are rotated by
     the coarse table, and real (q, n_k) x (n_k, b) products with the fine table
     give both traces as row-major (j, r) blocks: sin and cos are taken of
-    (q + b) n_k angles, about 2 sqrt(samples) n_k, not samples n_k."""
+    (q + b) n_k angles, about 2 sqrt(samples) n_k, not samples n_k. The
+    phases 2E(k) t depend on the k grid only, so the packets share the tables."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 16:
         raise ValueError("need at least 16 samples")
-    hx, hz, e = _hamiltonian_fields(packet)
+    hx, hz, e = _hamiltonian_fields(packets[0])
     nx, nz = hx / e, hz / e
-    a0, a1 = packet.a
-    weight = packet.dk / packet.norm()
-    cross = 2 * weight * np.conj(a0) * a1
-    drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
-    beat_cos, beat_sin = cross.real - drift, nz * cross.imag
     omega = 2 * e
     times = np.linspace(0.0, t_max, samples)
     dt = times[1] - times[0]
@@ -226,28 +224,42 @@ def _bloch_traces(packet, t_max, samples):
     fine = np.outer(np.arange(b) * dt, omega)
     sin_c, cos_c = np.sin(coarse), np.cos(coarse, out=coarse)
     sin_f, cos_f = np.sin(fine).T, np.cos(fine, out=fine).T
-    # real and imaginary parts of (beat_cos + i beat_sin) e^{i omega j b dt}
-    re = cos_c * beat_cos - sin_c * beat_sin
-    im = sin_c * beat_cos + cos_c * beat_sin
-    v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
-    x = (mean_position(packet) + drift.sum() * times
-         + ((re / omega) @ sin_f + (im / omega) @ cos_f).ravel()[:samples]
-         - (beat_sin / omega).sum())
-    return times, x, v
+    traces = []
+    for packet in packets:
+        a0, a1 = packet.a
+        weight = packet.dk / packet.norm()
+        cross = 2 * weight * np.conj(a0) * a1
+        drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
+        beat_cos, beat_sin = cross.real - drift, nz * cross.imag
+        # real and imaginary parts of (beat_cos + i beat_sin) e^{i omega j b dt}
+        re = cos_c * beat_cos - sin_c * beat_sin
+        im = sin_c * beat_cos + cos_c * beat_sin
+        v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
+        x = (mean_position(packet) + drift.sum() * times
+             + ((re / omega) @ sin_f + (im / omega) @ cos_f).ravel()[:samples]
+             - (beat_sin / omega).sum())
+        traces.append((x, v))
+    return times, traces
+
+
+def _fitted(times, values):
+    return ZbwTrace(times=times, x_mean=values, fit=fit_trace(times, values))
 
 
 def mean_position_trace(packet, t_max, samples):
     """Sampled <x>(t) with its zitterbewegung fit."""
-    times, x_mean, _ = _bloch_traces(packet, t_max, samples)
-    return ZbwTrace(times=times, x_mean=x_mean, fit=fit_trace(times, x_mean))
+    times, [(x_mean, _)] = _bloch_traces([packet], t_max, samples)
+    return _fitted(times, x_mean)
 
 
 def zbw_traces(packet, t_max, samples):
-    """(<x>, <c sigma_x>) traces of one packet from one closed-form evaluation,
-    each with its sinusoid fit; the velocity samples sit in `x_mean`."""
-    times, x_mean, v = _bloch_traces(packet, t_max, samples)
-    return (ZbwTrace(times=times, x_mean=x_mean, fit=fit_trace(times, x_mean)),
-            ZbwTrace(times=times, x_mean=v, fit=fit_trace(times, v)))
+    """(<x>, <c sigma_x>, <x> of the positive branch) traces of one packet,
+    each with its sinusoid fit; the velocity samples sit in `x_mean`. The
+    projected branch shares the packet's k grid, so all three come from one
+    closed-form evaluation over the same trig tables."""
+    pure = project_branch(packet, +1)
+    times, [(x_mean, v), (pure_x, _)] = _bloch_traces([packet, pure], t_max, samples)
+    return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)
 
 
 def time_average(trace, T):

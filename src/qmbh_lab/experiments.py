@@ -42,11 +42,27 @@ def atomic_write_text(path, text):
 
 
 def write_table(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
-                              for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One header line, then one line per row. An all-numeric 2-D array is
+    formatted in one `%` call over its values, with the bytes of `fmt`; other
+    rows go cell by cell. A row whose width is not the header's raises
+    ValueError."""
+    width = len(header)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "fiu":
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"table {Path(path).name}: rows of shape {rows.shape} "
+                             f"under {width} header columns")
+        body = ((",".join(["%.17g"] * width) + "\n") * len(rows)) % tuple(
+            rows.ravel().tolist())
+    else:
+        lines = []
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"table {Path(path).name}: row {i} has {len(row)} "
+                                 f"cells under {width} header columns")
+            lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
+                                  for cell in row) + "\n")
+        body = "".join(lines)
+    atomic_write_text(path, ",".join(header) + "\n" + body)
 
 
 @dataclass(frozen=True)
@@ -137,7 +153,8 @@ def _coerce(default, raw, key):
 
 def resolve_parameters(exp, given):
     """Defaults overlaid with `given`, coerced to the defaults' types; every
-    value, defaults included, is checked against its declared domain."""
+    value, defaults included, is checked against its declared domain, then
+    zbw's samples against its periods."""
     params = {key: p.default for key, p in exp.params.items()}
     for key, raw in given.items():
         if key not in params:
@@ -149,6 +166,12 @@ def resolve_parameters(exp, given):
         elif not p.contains(params[key]):
             raise ValueError(f"parameter {key!r} must be {p.domain()}; "
                              f"got {params[key]!r}")
+    # zbw's Compton-time window is rounded to 2 round(pi / (2 dt)) + 1 samples,
+    # up to 2 dt past pi; below 20 samples per period that overshoot can fail
+    # time-average-suppression
+    if exp.id == "zbw" and params["samples"] < 20 * params["periods"]:
+        raise ValueError(f"parameter 'samples' must be at least 20 * periods = "
+                         f"{20 * params['periods']:g}; got {params['samples']!r}")
     return params
 
 
@@ -188,12 +211,10 @@ def _run_constants_report(params):
 
 def _vortex_stage(n, dx):
     """Circulation rows and quanta, the velocity-profile deviation, and the R
-    snapshot of a unit vortex; the half-winding field is built only on the box
-    that holds the mid loop."""
-    grid = bohm.vortex_state(n, dx, core_radius=2 * dx)
-    x = grid.axis()
-    f = bohm.decompose(grid)
-    del grid
+    snapshot of a unit vortex, built from its real R and S; the half-winding
+    field is built only on the box that holds the mid loop."""
+    f = bohm.vortex_fields(n, dx, core_radius=2 * dx)
+    x = bohm.centered_axis(n, dx)
     c0 = n // 2
     loops = {
         "inner": (c0 - 10, c0 - 10, c0 + 10, c0 + 10),
@@ -206,7 +227,6 @@ def _vortex_stage(n, dx):
         res = bohm.circulation(f, bohm.LoopPath.rectangle(*corners))
         quanta[name] = res.half_quanta
         rows.append([name, res.gamma, res.half_quanta, res.residual])
-    snapshot = bohm.encode_field(f.R, dx, label="vortex amplitude R")
 
     i0, j0, i1, j1 = loops["mid"]
     half = _half_winding_box(x, i0, j0, max(i1 - i0, j1 - j0) + 1, dx)
@@ -215,6 +235,10 @@ def _vortex_stage(n, dx):
                  res_half.residual])
 
     profile_dev = float(np.max(_profile_deviations(f, x)))
+    # the snapshot last, once S is freed: it copies R
+    R = f.R
+    del f
+    snapshot = bohm.encode_field(R, dx, label="vortex amplitude R")
     return rows, quanta, res_half.half_quanta, profile_dev, snapshot
 
 
@@ -328,7 +352,7 @@ def _run_hopping_dispersion(params):
                             1e-12),
     ]
     return claims, {"dispersion.csv": (["k", "E_k"],
-                                       list(zip(disp.k, disp.energies)))}
+                                       np.column_stack((disp.k, disp.energies)))}
 
 
 def _run_emergent_mass(params):
@@ -389,19 +413,16 @@ def _run_dispersion_vs_relativity(params):
                                       1.5 - math.sqrt(2.0), 1e-3,
                                       note="deviation at p = mc"))
     return claims, {"dispersion_vs_relativity.csv": (
-        ["p", "E_quadratic", "E_relativistic"], list(zip(p, e_nr, e_rel)))}
+        ["p", "E_quadratic", "E_relativistic"], np.column_stack((p, e_nr, e_rel)))}
 
 
 def _run_zbw(params):
     packet = dirac.build_gaussian(sigma_x=params["sigma"], x0=0.0, p0=0.0, seed=(1, 1))
     omega0 = packet.zbw_omega
     t_max = params["periods"] * 2 * math.pi / omega0
-    trace, vtrace = dirac.zbw_traces(packet, t_max, params["samples"])
+    trace, vtrace, pure_trace = dirac.zbw_traces(packet, t_max, params["samples"])
     f = trace.fit
     averaged = dirac.time_average(trace, math.pi)  # the Compton time pi hbar/(m c^2)
-
-    pure = dirac.project_branch(packet, +1)
-    pure_trace = dirac.mean_position_trace(pure, t_max, params["samples"])
 
     lam = packet.compton_length
     claims = [
@@ -416,11 +437,11 @@ def _run_zbw(params):
                             vtrace.fit.omega, f.omega, 0.05),
     ]
     return claims, {
-        "trace.csv": (["t", "x_mean"], list(zip(trace.times, trace.x_mean))),
+        "trace.csv": (["t", "x_mean"], np.column_stack((trace.times, trace.x_mean))),
         "fit.csv": (["amplitude", "omega", "slope", "residual"],
                     [[f.amplitude, f.omega, f.slope, f.rms_residual]]),
         "trace_averaged.csv": (["t", "x_mean"],
-                               list(zip(averaged.times, averaged.x_mean))),
+                               np.column_stack((averaged.times, averaged.x_mean))),
     }
 
 
@@ -616,8 +637,8 @@ def _run_charge_confinement(params):
         "confinement_fit.csv": (["alpha_c", "sigma_l", "ratio", "ratio_closed_form"],
                                 [[fit.alpha_c, fit.sigma_l, fit.ratio,
                                   fit.ratio_closed_form]]),
-        "confinement_profile.csv": (["r", "h"], list(zip(
-            samples, lin_gravity.confinement_profile(m_gev, samples)))),
+        "confinement_profile.csv": (["r", "h"], np.column_stack(
+            (samples, lin_gravity.confinement_profile(m_gev, samples)))),
     }
 
 
@@ -639,8 +660,8 @@ for _exp in [
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
                # the outer loop reaches 50 sites from the centre; 2048^2
-               # complex128 is 64 MiB per array, and a run peaks at about
-               # 2.5 such arrays
+               # complex128 is 64 MiB per array, and a run's tracemalloc peak
+               # is 1.78 such arrays there (1.94 at 256, 2.08 at 128)
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048)),
                 "dx": Param(0.1, *LENGTH), "profile_tol": Param(0.02, 0, 1, True)},
                _run_bohm_vortex),
@@ -660,7 +681,8 @@ for _exp in [
                _run_dispersion_vs_relativity),
     Experiment("zbw", "zitterbewegung frequency, amplitude, and averaging",
                # time_average's window, one zbw period, is under a quarter of
-               # the trace only for periods > 4
+               # the trace only for periods > 4; samples >= 20 periods is
+               # checked in resolve_parameters
                {"sigma": Param(10.0, 1, 1e3), "periods": Param(6.0, 4, 64, True),
                 "samples": Param(768, 256, 4096), "omega_tol": Param(0.05, 0, 1, True),
                 "suppress_factor": Param(10.0, 0, 1e6, True)}, _run_zbw),

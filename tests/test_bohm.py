@@ -493,6 +493,34 @@ class TestProductStates:
             bohm.product_q_plus_v_std(np.zeros(64), 0.2, np.zeros_like)
 
 
+class TestVortexFields:
+    """bohm-vortex builds its vortex from the real R and S; the oracle is the
+    Madelung split of the complex vortex state."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("dx", [0.1, 0.37])
+    def test_matches_decomposed_vortex_state(self, n, dx):
+        ref = bohm.decompose(bohm.vortex_state(n, dx, core_radius=2 * dx))
+        f = bohm.vortex_fields(n, dx, core_radius=2 * dx)
+        assert np.max(np.abs(f.R - ref.R) / np.where(ref.node_mask, 1.0, ref.R)) <= 2.3e-16
+        assert np.max(np.abs(f.S - ref.S)) <= 2.3e-16
+        assert np.array_equal(f.node_mask, ref.node_mask)
+        assert (f.dx, f.phase_period) == (ref.dx, ref.phase_period)
+        c0 = n // 2
+        for corners in [(c0 - 10, c0 - 10, c0 + 10, c0 + 10),
+                        (c0 - 25, c0 - 20, c0 + 18, c0 + 24),
+                        (c0 - 50, c0 - 50, c0 + 50, c0 + 50)]:
+            loop = bohm.LoopPath.rectangle(*corners)
+            assert bohm.circulation(f, loop).gamma == pytest.approx(
+                bohm.circulation(ref, loop).gamma, rel=1e-14, abs=0.0)
+        # the velocity-profile claim reads the maximum, which is bit-equal;
+        # single deviations move by the S error over the stencil, times r
+        x = bohm.centered_axis(n, dx)
+        dev, dev_ref = (experiments._profile_deviations(g, x) for g in (f, ref))
+        assert dev.max() == dev_ref.max()
+        assert np.max(np.abs(dev - dev_ref)) <= 1e-16 * n
+
+
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
         g = bohm.gaussian_state(64, 0.2, sigma=1.0)

@@ -167,7 +167,7 @@ class TestZitterbewegung:
 
     def test_velocity_oscillates_at_same_frequency(self):
         t_max = 6 * 2 * math.pi / self.packet.zbw_omega
-        _, vtrace = dirac.zbw_traces(self.packet, t_max, 768)
+        _, vtrace, _ = dirac.zbw_traces(self.packet, t_max, 768)
         assert vtrace.fit.omega == pytest.approx(self.trace.fit.omega, rel=0.05)
 
     def test_interference_term_is_pointwise_nonzero(self):
@@ -192,7 +192,7 @@ class TestClosedFormTraces:
         # <sigma_x> = 2 Re(conj(a0) a1) dk / norm mode by mode (c = 1)
         p = dirac.build_gaussian(**kw)
         t_max = 3 * 2 * math.pi / p.zbw_omega
-        xtrace, vtrace = dirac.zbw_traces(p, t_max, 64)
+        xtrace, vtrace, _ = dirac.zbw_traces(p, t_max, 64)
         assert np.array_equal(xtrace.x_mean, dirac.mean_position_trace(p, t_max, 64).x_mean)
         x_ref, v_ref = [], []
         for t in xtrace.times:
@@ -214,7 +214,7 @@ class TestClosedFormTraces:
         # and mat-vecs; square, prime and ragged-last-block sample counts
         p = dirac.build_gaussian(**kw)
         t_max = 6 * 2 * math.pi / p.zbw_omega
-        xtrace, vtrace = dirac.zbw_traces(p, t_max, samples)
+        xtrace, vtrace, _ = dirac.zbw_traces(p, t_max, samples)
         t = np.linspace(0.0, t_max, samples)
         assert np.array_equal(xtrace.times, t)
         e = np.hypot(p.k, 1.0)
@@ -233,12 +233,24 @@ class TestClosedFormTraces:
         assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-13 * max(1.0, np.max(np.abs(x_ref)))
         assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-13
 
+    @pytest.mark.parametrize("samples", [64, 768, 4096])
+    def test_shared_tables_match_separate_traces(self, samples):
+        # the projected branch reuses the packet's trig tables bit for bit
+        p = mixed_packet()
+        pure = dirac.project_branch(p, +1)
+        t_max = 6 * 2 * math.pi / p.zbw_omega
+        _, _, pure_trace = dirac.zbw_traces(p, t_max, samples)
+        alone = dirac.mean_position_trace(pure, t_max, samples)
+        assert np.array_equal(pure_trace.times, alone.times)
+        assert np.array_equal(pure_trace.x_mean, alone.x_mean)
+        assert pure_trace.fit == alone.fit
+
     def test_long_trace_memory_is_bounded(self):
         # the direct (samples, n_k) sin and cos matrices would take 1.6 GB here
         p = mixed_packet()
         tracemalloc.start()
         try:
-            xtrace, _ = dirac.zbw_traces(p, 6 * 2 * math.pi / p.zbw_omega, 100_000)
+            xtrace, *_ = dirac.zbw_traces(p, 6 * 2 * math.pi / p.zbw_omega, 100_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,13 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import cli, experiments
 from qmbh_lab.constants import BUILTIN_PARTICLES, CGS, RatioCheck
@@ -171,6 +176,30 @@ class TestRegistry:
                                                             tmp_path))
         assert report.status == "pass", report.error
 
+    @pytest.mark.parametrize("periods", [16.0, 64.0, 25.3])
+    def test_zbw_sample_density_rule(self, tmp_path, periods):
+        # the Compton-time window overshoots by up to 2 dt; from 20 samples
+        # per period on time-average-suppression holds
+        least = math.ceil(20 * periods)
+        report = experiments.run(experiments.ExperimentSpec(
+            "zbw", {"periods": periods, "samples": least}, tmp_path / "ok"))
+        assert report.status == "pass", report.error
+        report = experiments.run(experiments.ExperimentSpec(
+            "zbw", {"periods": periods, "samples": least - 1}, tmp_path / "bad"))
+        assert report.error.startswith("zbw: ValueError: parameter 'samples'")
+        assert report.claims == []
+
+    def test_zbw_sample_density_rule_is_usage_error(self, tmp_path):
+        CliRunner().invoke(cli.main, ["run", "zbw", "--out", str(tmp_path)])
+        outdir = tmp_path / "zbw"
+        before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        assert len(before) == 4
+        result = CliRunner().invoke(cli.main, ["run", "zbw", "--periods", "16",
+                                               "--samples", "319", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "'samples'" in result.output
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
 
 class TestRingModel:
     """ring-model runs on lin_gravity's luminal ring."""
@@ -316,8 +345,10 @@ class TestBohmVortex:
 
     def test_runner_peak_memory(self):
         # the continuity and Q stages run on 1-D factors and the vortex stage
-        # takes v on the central box only: about 2.5 complex n x n grids are
-        # alive at once (6.6 when the three evolved states were 2-D)
+        # holds only its real R and S and takes v on the central box: 1.94
+        # complex n x n grids are alive at once at grid 256 (2.5 when the
+        # vortex was built as a complex state, 6.6 when the three evolved
+        # states were 2-D)
         params = experiments.resolve_parameters(
             experiments.EXPERIMENTS["bohm-vortex"], {})
         experiments._run_bohm_vortex(params)  # warm-up: FFT plan caches
@@ -327,7 +358,7 @@ class TestBohmVortex:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * params["grid"] ** 2 * 16
+        assert peak <= 3 * params["grid"] ** 2 * 16
 
     def test_smallest_grid_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec(
@@ -403,6 +434,33 @@ class TestFloatSerialization:
                   6.764774332023642e-56, -0.4999999950000000]
         for v in values:
             assert float(experiments.fmt(v)) == v
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 6).flatmap(lambda cols: hnp.arrays(
+        np.float64, st.tuples(st.integers(0, 50), st.just(cols)),
+        elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(
+            [-0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7e308, 3.0, -1e16])))))
+    def test_array_path_matches_cell_path(self, rows):
+        # -0.0, subnormals, near-overflow and integral floats included
+        with tempfile.TemporaryDirectory() as tmp:
+            header = [f"c{i}" for i in range(rows.shape[1])]
+            experiments.write_table(Path(tmp) / "a.csv", header, rows)
+            experiments.write_table(Path(tmp) / "b.csv", header, rows.tolist())
+            assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+
+    def test_integer_array_matches_cell_path(self, tmp_path):
+        rows = np.array([[0, -3], [2**53 + 1, 7]])
+        experiments.write_table(tmp_path / "a.csv", ["i", "j"], rows)
+        experiments.write_table(tmp_path / "b.csv", ["i", "j"], rows.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((3, 2)), np.zeros((3, 4)), np.zeros(3),
+        [[1.0, 2.0, 3.0], [1.0, 2.0]], [["a", 1.0, 2.0, 3.0]], [[]]])
+    def test_malformed_table_rejected(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="odd.csv"):
+            experiments.write_table(tmp_path / "odd.csv", ["a", "b", "c"], rows)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCli:

@@ -1,11 +1,12 @@
 """Property test of the declared parameter domains (Hypothesis; MacIver et al.,
 JOSS 4(43), 1891, 2019).
 
-Every parameter of an experiment is drawn inside its domain, and at most one
-is then redrawn just outside it (or, for `particle`, a massless or unknown
-name). A run inside every domain must end with a non-empty list of claims,
-all computed values finite; a run with one value outside must fail with a
-ValueError that names that parameter, before any claim is computed.
+Every parameter of an experiment is drawn inside its domain (zbw's `samples`
+at no fewer than 20 per period), and at most one is then redrawn just outside
+it (or, for `particle`, a massless or unknown name). A run inside every domain
+must end with a non-empty list of claims, all computed values finite; a run
+with one value outside must fail with a ValueError that names that parameter,
+before any claim is computed.
 """
 
 import math
@@ -44,8 +45,15 @@ def _outside(p):
 
 @st.composite
 def _draws(draw, exp):
-    params = {key: draw(st.sampled_from([128, 256]) if key == "grid" else _inside(p))
-              for key, p in exp.params.items()}
+    params = {}
+    for key, p in exp.params.items():
+        if key == "grid":
+            strategy = st.sampled_from([128, 256])
+        elif key == "samples":  # zbw's rule: at least 20 samples per period
+            strategy = st.integers(max(p.lo, math.ceil(20 * params["periods"])), p.hi)
+        else:
+            strategy = _inside(p)
+        params[key] = draw(strategy)
     bad = draw(st.one_of(st.none(), st.sampled_from(list(exp.params))))
     if bad is not None:
         params[bad] = draw(_outside(exp.params[bad]))
