@@ -10,8 +10,8 @@ branches makes the mean position oscillate (zitterbewegung) at
 and averaging over a Compton time pi hbar / (m c^2) wipes the oscillation
 out; both traces follow in closed form from each mode's Bloch precession,
 summed over modes by angle addition on the uniform time grid: a coarse and a
-fine trig table joined by real matrix products. The tables depend on the k
-grid alone, so a packet and its projected branch share them.
+fine table of e^{2iE(k)t} built by rotations and joined by real matrix
+products, shared by a packet and its projected branch on the same k grid.
 Everything runs in natural units hbar = c = m = 1, so H(k) = k sigma_x +
 sigma_z, Omega ~ 2 and the Compton length is 1.
 """
@@ -42,8 +42,11 @@ class DiracPacket1D:
             raise ValueError("momentum grid must hold a power of two >= 256 points")
         if self.a.shape != (2, n):
             raise ValueError("spinor array must have shape (2, n_k)")
+        # each k is rounded to an ulp of itself, at most that of an end point;
+        # a nan or inf in k fails the comparison
         steps = np.diff(self.k)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        ulp = np.spacing(max(abs(self.k[0]), abs(self.k[-1])))
+        if not steps.max() - steps.min() <= 1e-12 * abs(steps[0]) + 4 * ulp:
             raise ValueError("momentum grid must be uniform")
 
     @property
@@ -194,6 +197,20 @@ def fit_trace(times, values, omega=None):
                   omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
+def _rotation_table(times, omega):
+    """Rows exp(i t omega) for `times` in arithmetic progression from 0, by
+    doubling: rows [f, 2f) are rows [0, f) times exp(i times[f] omega). Each
+    entry lies within 4 eps (1 + t omega) of the directly evaluated one."""
+    table = np.empty((times.size, omega.size), dtype=np.complex128)
+    table[0] = 1.0
+    f = 1
+    while f < times.size:
+        n = min(f, times.size - f)
+        np.multiply(table[:n], np.exp(1j * (times[f] * omega)), out=table[f:f + n])
+        f *= 2
+    return table
+
+
 def _bloch_traces(packets, t_max, samples):
     """(times, [(<x>, <sigma_x>) per packet]) in closed form, for packets on
     one k grid. exp(-iHt) turns each mode's Bloch vector
@@ -206,8 +223,8 @@ def _bloch_traces(packets, t_max, samples):
     coarse angle omega j b dt and a fine one omega r dt (the separable step of
     non-uniform FFTs; Dutt & Rokhlin 1993). The beat coefficients are rotated by
     the coarse table, and real (q, n_k) x (n_k, b) products with the fine table
-    give both traces as row-major (j, r) blocks: sin and cos are taken of
-    (q + b) n_k angles, about 2 sqrt(samples) n_k, not samples n_k. The
+    give both traces as row-major (j, r) blocks; built by rotation, the
+    tables take about log2(samples) n_k exponentials, not samples n_k. The
     phases 2E(k) t depend on the k grid only, so the packets share the tables."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -220,10 +237,11 @@ def _bloch_traces(packets, t_max, samples):
     dt = times[1] - times[0]
     b = math.isqrt(samples - 1) + 1
     q = -(-samples // b)
-    coarse = np.outer(np.arange(q) * b * dt, omega)
-    fine = np.outer(np.arange(b) * dt, omega)
-    sin_c, cos_c = np.sin(coarse), np.cos(coarse, out=coarse)
-    sin_f, cos_f = np.sin(fine).T, np.cos(fine, out=fine).T
+    coarse = _rotation_table(np.arange(q) * b * dt, omega)
+    fine = _rotation_table(np.arange(b) * dt, omega)
+    sin_c, cos_c = coarse.imag, coarse.real
+    sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_k, b) operands
+    del fine
     traces = []
     for packet in packets:
         a0, a1 = packet.a
@@ -256,7 +274,7 @@ def zbw_traces(packet, t_max, samples):
     """(<x>, <c sigma_x>, <x> of the positive branch) traces of one packet,
     each with its sinusoid fit; the velocity samples sit in `x_mean`. The
     projected branch shares the packet's k grid, so all three come from one
-    closed-form evaluation over the same trig tables."""
+    closed-form evaluation over the same rotation tables."""
     pure = project_branch(packet, +1)
     times, [(x_mean, v), (pure_x, _)] = _bloch_traces([packet, pure], t_max, samples)
     return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)

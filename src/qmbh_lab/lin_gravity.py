@@ -12,7 +12,8 @@ Near the source, keeping the zeroth and second Taylor terms of the retarded
 kernel yields a Coulomb-plus-linear profile whose coefficient ratio is
 8 (M c^2 / hbar)^2 — the confinement-style check.
 
-Element summations use math.fsum: deterministic, partition-independent.
+Element summations use math.fsum (exact, so partition-independent) over NumPy
+buffers; the distance sums take all probes of a source as rows of one array.
 """
 
 import math
@@ -78,22 +79,41 @@ def default_radius(p):
 
 def mass_integral(s):
     """Element quadrature of the energy density: the total mass back, g."""
-    return math.fsum(s.masses)
+    return math.fsum(memoryview(s.masses))
 
 
 def spin_integral(s):
     """S_z = sum over elements of lever arm x momentum density, erg s."""
     lever = np.hypot(s.positions[:, 0], s.positions[:, 1])
-    return math.fsum((s.masses * lever).tolist()) * s.speed
+    return math.fsum(memoryview(s.masses * lever)) * s.speed
+
+
+def _inverse_distance_sums(s, px, pz):
+    """fsum over elements of m_i / |x_i - p| for each probe p = (px, 0, pz).
+    The squared distances are built in place in np.linalg.norm's order,
+    (dx^2 + dy^2) + dz^2, so every term has the bits of a per-probe norm."""
+    x, y, z = s.positions.T
+    d2 = x - px[:, None]
+    d2 *= d2
+    d2 += y * y
+    dz = z - pz[:, None]
+    dz *= dz
+    d2 += dz
+    np.sqrt(d2, out=d2)
+    np.divide(s.masses, d2, out=d2)
+    return np.array([math.fsum(memoryview(row)) for row in d2])
 
 
 def far_potential(s, r, theta=0.0):
-    """Direct-sum gravitational potential at distance r, colatitude theta."""
-    if r < 100 * s.radius:
-        raise ValueError(f"probe at r={r:g} is inside the near zone (<{100 * s.radius:g})")
-    probe = np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
-    dist = np.linalg.norm(s.positions - probe, axis=1)
-    return -CGS.G * math.fsum((s.masses / dist).tolist())
+    """Direct-sum gravitational potential at colatitude theta and distance r,
+    a float for a scalar r or an array for a 1-D array of radii."""
+    radii = np.asarray(r, dtype=np.float64)
+    if radii.min() < 100 * s.radius:
+        raise ValueError(f"probe at r={radii.min():g} is inside the near zone "
+                         f"(<{100 * s.radius:g})")
+    flat = radii.reshape(-1)
+    phi = -CGS.G * _inverse_distance_sums(s, flat * math.sin(theta), flat * math.cos(theta))
+    return phi if radii.ndim else float(phi[0])
 
 
 def charge_estimate(s, particle):
@@ -110,7 +130,7 @@ def charge_estimate(s, particle):
     """
     m = mass_integral(s)
     omega = s.omega
-    quad = 2 * CGS.c * math.fsum((2 * CGS.G * s.masses * CGS.c**2 * omega).tolist())
+    quad = 2 * CGS.c * math.fsum(memoryview(2 * CGS.G * s.masses * CGS.c**2 * omega))
     closed = 8 * CGS.G * particle.mass**2 * CGS.c**5 / CGS.hbar
     raw = CGS.G * particle.mass**2 * CGS.c**5
     reference = CGS.esu_ref * abs(particle.charge)
@@ -130,21 +150,16 @@ def charge_estimate(s, particle):
     return checks
 
 
-def _trace_a0_at(s, point):
-    # stationary-rotation retardation shortcut: d/dt -> (1 + c) d/dtau on the
-    # retarded kernel with |dT/dtau| = 2 omega T and element trace (c^2-1) G m_i
-    factor = 2 * (1 + CGS.c) * 2 * s.omega * (CGS.c**2 - 1) * CGS.G
-    dist = np.linalg.norm(s.positions - point, axis=1)
-    return factor * math.fsum((s.masses / dist).tolist())
-
-
 def shell_trace_a0(s, r_values):
     """Far-zone trace potential A0(r) sampled along an equatorial ray.
 
     Returns (A0 array, log-log slope, coefficient A0*r at the farthest probe).
     """
     r_values = np.asarray(r_values, dtype=np.float64)
-    a0 = np.array([_trace_a0_at(s, np.array([r, 0.0, 0.0])) for r in r_values])
+    # stationary-rotation retardation shortcut: d/dt -> (1 + c) d/dtau on the
+    # retarded kernel with |dT/dtau| = 2 omega T and element trace (c^2-1) G m_i
+    factor = 2 * (1 + CGS.c) * 2 * s.omega * (CGS.c**2 - 1) * CGS.G
+    a0 = factor * _inverse_distance_sums(s, r_values, np.zeros_like(r_values))
     slope = float(np.polyfit(np.log(r_values), np.log(np.abs(a0)), 1)[0])
     return a0, slope, float(a0[-1] * r_values[-1])
 

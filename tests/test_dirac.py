@@ -69,6 +69,24 @@ class TestPacketConstruction:
         with pytest.raises(ValueError, match="uniform"):
             dirac.DiracPacket1D(np.geomspace(1, 2, 256),
                                 np.ones((2, 256), complex))
+        for bad in (np.nan, np.inf):
+            k = np.linspace(-1, 1, 256)
+            k[100] = bad
+            with pytest.raises(ValueError, match="uniform"):
+                dirac.DiracPacket1D(k, np.ones((2, 256), complex))
+
+    @pytest.mark.parametrize("sigma_x, p0", [(10.0, 10.0), (100.0, 2.0), (10.0, 100.0)])
+    def test_boosted_grid_builds(self, sigma_x, p0):
+        # p0 + linspace rounds each k to an ulp of |p0|, far above 1e-12 dk
+        p = dirac.build_gaussian(sigma_x=sigma_x, x0=0.0, p0=p0, seed=(1, 1))
+        assert abs(p.norm() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p0", [0.0, 10.0, 100.0])
+    def test_one_step_off_rejected(self, p0):
+        k = dirac.build_gaussian(sigma_x=10.0, x0=0.0, p0=p0, seed=(1, 0)).k.copy()
+        k[512:] += 1e-9 * (k[1] - k[0])
+        with pytest.raises(ValueError, match="uniform"):
+            dirac.DiracPacket1D(k, np.ones((2, k.size), complex))
 
 
 class TestVelocityOperator:
@@ -232,6 +250,20 @@ class TestClosedFormTraces:
                  + cos @ (beat_sin / omega) - (beat_sin / omega).sum())
         assert np.max(np.abs(xtrace.x_mean - x_ref)) <= 1e-13 * max(1.0, np.max(np.abs(x_ref)))
         assert np.max(np.abs(vtrace.x_mean - v_ref)) <= 1e-13
+
+    @pytest.mark.parametrize("periods, samples", [(4.01, 256), (6, 768), (64, 1280),
+                                                  (64, 4096)])
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 1000.0])
+    def test_rotation_tables_match_direct_exponentials(self, sigma, periods, samples):
+        # reference: exp of the full outer product of row times and 2E(k)
+        p = mixed_packet(sigma)
+        omega = 2 * np.hypot(p.k, 1.0)
+        dt = np.linspace(0.0, periods * 2 * math.pi / p.zbw_omega, samples)[1]
+        b = math.isqrt(samples - 1) + 1
+        for times in (np.arange(-(-samples // b)) * b * dt, np.arange(b) * dt):
+            angle = np.outer(times, omega)
+            err = np.max(np.abs(dirac._rotation_table(times, omega) - np.exp(1j * angle)))
+            assert err <= 4 * np.finfo(float).eps * (1 + angle.max())
 
     @pytest.mark.parametrize("samples", [64, 768, 4096])
     def test_shared_tables_match_separate_traces(self, samples):

@@ -126,6 +126,22 @@ class TestRegistry:
             "charge-confinement", {"quark_mass_gev": raw}, tmp_path))
         assert report.status == "pass", report.error
 
+    @pytest.mark.parametrize("exp_id, key, inside, outside, given", [
+        # sphere-spin-pi-eighth-hbar (1e-4) fails at 16 shell elements
+        *[("shell-spin", "sphere_elements", "400", "399", {"particle": particle})
+          for particle in experiments.MASSIVE],
+        # small-p-deviation (1.5e-5) fails at 0.11
+        ("dispersion-vs-relativity", "p_max_frac", "0.1", "0.11", {}),
+    ])
+    def test_claim_domain_ends(self, tmp_path, exp_id, key, inside, outside, given):
+        report = experiments.run(experiments.ExperimentSpec(
+            exp_id, {**given, key: outside}, tmp_path / "out"))
+        assert report.error.startswith(f"{exp_id}: ValueError: parameter {key!r}")
+        assert report.claims == []
+        report = experiments.run(experiments.ExperimentSpec(
+            exp_id, {**given, key: inside}, tmp_path / "in"))
+        assert report.status == "pass", report.error
+
     @pytest.mark.parametrize("exp_id, key, raw", [
         ("hopping-dispersion", "sites", "8"),
         ("hopping-dispersion", "sites", "64"),

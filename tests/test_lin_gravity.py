@@ -180,6 +180,55 @@ class TestShellTraceA0:
         assert 1.0 / 3.0 <= coeff / quad <= 3.0
 
 
+def per_probe_sum(s, probe):
+    """Oracle: the per-probe loop the batched sums replaced, fsum of
+    m_i / |x_i - probe| over a Python list."""
+    dist = np.linalg.norm(s.positions - probe, axis=1)
+    return math.fsum((s.masses / dist).tolist())
+
+
+class TestBatchedSums:
+    # each batched term has the bits of the per-probe norm and every row sum
+    # is exact, so the results are equal, not close
+
+    @pytest.fixture(params=["electron", "proton", "muon", "charm"])
+    def sources(self, request):
+        p = BUILTIN_PARTICLES[request.param]
+        radius = lg.default_radius(p)
+        return (lg.ShellSource.ring(p.mass, radius, 1024, CGS.c),
+                lg.ShellSource.sphere(p.mass, radius, 10000, CGS.c))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2])
+    def test_far_potential_matches_per_probe_loop(self, sources, theta):
+        for s in sources:
+            r_values = np.geomspace(100 * s.radius, 1e4 * s.radius, 13)
+            batched = lg.far_potential(s, r_values, theta)
+            for r, phi in zip(r_values, batched):
+                probe = np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
+                assert phi == -CGS.G * per_probe_sum(s, probe)
+                scalar = lg.far_potential(s, float(r), theta)
+                assert type(scalar) is float and scalar == phi
+
+    def test_trace_a0_matches_per_probe_loop(self, sources):
+        for s in sources:
+            r_values = np.geomspace(100 * s.radius, 1e4 * s.radius, 17)
+            a0, _, _ = lg.shell_trace_a0(s, r_values)
+            factor = 2 * (1 + CGS.c) * 2 * s.omega * (CGS.c**2 - 1) * CGS.G
+            assert a0.tolist() == [factor * per_probe_sum(s, np.array([r, 0.0, 0.0]))
+                                   for r in r_values]
+
+    def test_element_sums_match_list_fsum(self, sources):
+        for s in sources:
+            assert lg.mass_integral(s) == math.fsum(s.masses.tolist())
+            lever = np.hypot(s.positions[:, 0], s.positions[:, 1])
+            assert lg.spin_integral(s) == math.fsum((s.masses * lever).tolist()) * s.speed
+
+    def test_any_near_probe_rejected(self):
+        s = electron_ring()
+        with pytest.raises(ValueError, match="near zone"):
+            lg.far_potential(s, np.array([1e4, 50.0, 1e3]) * s.radius)
+
+
 class TestWeylFields:
     @staticmethod
     def grid_omega(fn, n=32, lo=0.6, hi=1.6, nt=5, dt=0.01):
