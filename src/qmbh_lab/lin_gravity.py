@@ -12,8 +12,11 @@ Near the source, keeping the zeroth and second Taylor terms of the retarded
 kernel yields a Coulomb-plus-linear profile whose coefficient ratio is
 8 (M c^2 / hbar)^2 — the confinement-style check.
 
-Element summations use math.fsum (exact, so partition-independent) over NumPy
-buffers; the distance sums take all probes of a source as rows of one array.
+Element sums are exact: each row of elements is put on one integer grid and
+accumulated without rounding, then rounded once, so every sum has the bits of
+math.fsum and does not depend on how the elements are ordered or split. A row
+outside that grid's range falls back to math.fsum. The distance sums take all
+probes of a source as rows of one array.
 """
 
 import math
@@ -77,19 +80,56 @@ def default_radius(p):
     return CGS.hbar / (2 * p.mass * CGS.c)
 
 
+def _exact_sums(a):
+    """math.fsum over the last axis of a float64 array: a float for a 1-D
+    array, a list of floats for a 2-D one.
+
+    Scaled by 2^(b - e_min), with e_min a row's smallest frexp exponent and
+    b = n.bit_length() for rows of n, every element is a multiple of
+    2^(b - 53). When the exponents span at most 53 - 2b binades, the floors
+    and the fractions of the scaled elements each sum exactly in float64, in
+    any order, and one IEEE addition of the two sums rounds the total once,
+    as fsum does; scaling back is exact, a subnormal total included. A row
+    with a non-finite element, a wider span, a sum that could overflow or a
+    zero sum (whose sign fsum sets) goes to math.fsum."""
+    rows = a.reshape(-1, a.shape[-1])
+    b = rows.shape[1].bit_length()
+    mant, exp = np.frexp(rows)
+    e_min = exp.min(axis=1)
+    e_max = exp.max(axis=1).tolist()
+    exp -= e_min[:, None] - b
+    # a row off the grid may overflow here, and an inf makes its sums nan;
+    # such rows go to fsum below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.ldexp(mant, exp, out=mant)
+        whole = np.floor(mant)
+        mant -= whole
+        whole_sums = whole.sum(axis=1).tolist()
+        frac_sums = mant.sum(axis=1).tolist()
+    sums = []
+    for row, w, f, lo, hi in zip(rows, whole_sums, frac_sums, e_min.tolist(), e_max):
+        if hi - lo <= 53 - 2 * b and hi + b <= 1021:
+            total = math.ldexp(w + f, lo - b)
+            if total != 0.0 and not math.isnan(total):
+                sums.append(total)
+                continue
+        sums.append(math.fsum(row.tolist()))
+    return sums if a.ndim > 1 else sums[0]
+
+
 def mass_integral(s):
     """Element quadrature of the energy density: the total mass back, g."""
-    return math.fsum(memoryview(s.masses))
+    return _exact_sums(s.masses)
 
 
 def spin_integral(s):
     """S_z = sum over elements of lever arm x momentum density, erg s."""
     lever = np.hypot(s.positions[:, 0], s.positions[:, 1])
-    return math.fsum(memoryview(s.masses * lever)) * s.speed
+    return _exact_sums(s.masses * lever) * s.speed
 
 
 def _inverse_distance_sums(s, px, pz):
-    """fsum over elements of m_i / |x_i - p| for each probe p = (px, 0, pz).
+    """Exact sum over elements of m_i / |x_i - p| for each probe p = (px, 0, pz).
     The squared distances are built in place in np.linalg.norm's order,
     (dx^2 + dy^2) + dz^2, so every term has the bits of a per-probe norm."""
     x, y, z = s.positions.T
@@ -101,7 +141,7 @@ def _inverse_distance_sums(s, px, pz):
     d2 += dz
     np.sqrt(d2, out=d2)
     np.divide(s.masses, d2, out=d2)
-    return np.array([math.fsum(memoryview(row)) for row in d2])
+    return np.array(_exact_sums(d2))
 
 
 def far_potential(s, r, theta=0.0):
@@ -130,7 +170,7 @@ def charge_estimate(s, particle):
     """
     m = mass_integral(s)
     omega = s.omega
-    quad = 2 * CGS.c * math.fsum(memoryview(2 * CGS.G * s.masses * CGS.c**2 * omega))
+    quad = 2 * CGS.c * _exact_sums(2 * CGS.G * s.masses * CGS.c**2 * omega)
     closed = 8 * CGS.G * particle.mass**2 * CGS.c**5 / CGS.hbar
     raw = CGS.G * particle.mass**2 * CGS.c**5
     reference = CGS.esu_ref * abs(particle.charge)

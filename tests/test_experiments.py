@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qmbh_lab import cli, experiments
+from qmbh_lab import cli, dirac, experiments
 from qmbh_lab.constants import BUILTIN_PARTICLES, CGS, RatioCheck
 
 REGISTERED_IDS = [
@@ -329,6 +329,28 @@ class TestRun:
             experiments.ExperimentSpec("metric-slice", {}, tmp_path))
         assert experiments.ExperimentReport.from_dict(report.to_dict()) == report
 
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_report_json_holds_one_claim_per_line(self, tmp_path, fresh):
+        outdir = tmp_path / "missing-parent" / "zbw" if fresh else tmp_path
+        if not fresh:
+            experiments.run(experiments.ExperimentSpec("zbw", {}, outdir))
+        report = experiments.run(experiments.ExperimentSpec("zbw", {}, outdir))
+        text = (outdir / "report.json").read_text(encoding="utf-8")
+        assert json.loads(text) == report.to_dict()
+        lines = text.splitlines()
+        assert len(lines) == len(report.claims) + 2
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == [
+            c.to_dict() for c in report.claims]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            report.tables + ["report.json"])
+        assert not list(outdir.glob("*.tmp"))
+
+    def test_report_json_without_claims(self, tmp_path):
+        report = experiments.run(experiments.ExperimentSpec(
+            "metric-slice", {"lam": "inf"}, tmp_path))
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert report.claims == [] and json.loads(text) == report.to_dict()
+
 
 class TestBohmVortex:
     def test_small_grid_rejected(self, tmp_path):
@@ -380,6 +402,31 @@ class TestBohmVortex:
         report = experiments.run(experiments.ExperimentSpec(
             "bohm-vortex", {"grid": "128"}, tmp_path))
         assert report.status == "pass", report.error
+
+
+class TestNegEnergyScan:
+    # the batched weights repeat build_gaussian's and energy_fractions'
+    # floating-point operations, so they are equal, not close
+
+    @staticmethod
+    def per_width(widths):
+        splits = [dirac.energy_fractions(dirac.build_gaussian(
+            sigma_x=w, x0=0.0, p0=0.0, seed=(1, 0))) for w in widths]
+        return [s.w_minus for s in splits], [s.w_plus for s in splits]
+
+    def test_default_widths_match_per_width_packets(self):
+        widths = experiments._scan_widths(
+            experiments.EXPERIMENTS["neg-energy-scan"].params["widths"].default)
+        w_minus, w_plus = experiments._branch_weights(widths)
+        assert (w_minus.tolist(), w_plus.tolist()) == self.per_width(widths)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(0.01, 1e4), max_size=62))
+    def test_width_lists_match_per_width_packets(self, drawn):
+        widths = sorted(set(drawn) | {1.0, 100.0})
+        assert experiments._scan_widths(":".join(map(repr, widths))) == widths
+        w_minus, w_plus = experiments._branch_weights(widths)
+        assert (w_minus.tolist(), w_plus.tolist()) == self.per_width(widths)
 
 
 class TestRunAll:

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import lin_gravity as lg
 from qmbh_lab.constants import BUILTIN_PARTICLES, CGS, ParticleSpec
@@ -227,6 +229,105 @@ class TestBatchedSums:
         s = electron_ring()
         with pytest.raises(ValueError, match="near zone"):
             lg.far_potential(s, np.array([1e4, 50.0, 1e3]) * s.radius)
+
+
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -2.225073858507201e-308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def element_rows(draw):
+    """A (rows, n) block, n in [1, 16384]: each row is values over a drawn
+    band of binades, inside, at the edge of or outside the integer window of
+    53 - 2 n.bit_length() binades. A row may keep one sign and put all but
+    one element in the band's top binade (the largest sums the window
+    admits), may cancel to a small remainder, and may hold zeros,
+    subnormals, values near overflow, infinities or nans."""
+    n = draw(st.integers(1, 1 << 14))
+    window = 53 - 2 * n.bit_length()
+    block = []
+    for _ in range(draw(st.integers(1, 3))):
+        spread = draw(st.one_of(st.integers(0, 60), st.integers(window - 2, window + 2)))
+        top = draw(st.integers(-1074 + spread, 1023))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        exponents = rng.integers(top - spread, top + 1, n)
+        if draw(st.booleans()):
+            exponents[:] = top
+            exponents[0] = top - spread
+        row = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n), exponents)
+        if draw(st.booleans()):
+            np.abs(row, out=row)
+        elif draw(st.booleans()):
+            half = n // 2
+            row[half:2 * half] = -row[:half]
+        for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.sampled_from(SPECIALS)), max_size=3)):
+            row[i] = value
+        block.append(row)
+    return np.array(block)
+
+
+def bits(value):
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def fsum_outcome(fn, values):
+    """fn(values) as ("value", bits) or ("raises", exception type); every nan
+    counts as one value."""
+    try:
+        return "value", bits(fn(values))
+    except (OverflowError, ValueError) as exc:
+        return "raises", type(exc)
+
+
+class TestExactSums:
+    # the integer path must give math.fsum's bits, or the exception it raises
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(element_rows())
+    def test_rows_match_fsum(self, block):
+        expected = [fsum_outcome(math.fsum, row.tolist()) for row in block]
+        assert [fsum_outcome(lg._exact_sums, row) for row in block] == expected
+        raised = [outcome for kind, outcome in expected if kind == "raises"]
+        if raised:
+            with pytest.raises(raised[0]):
+                lg._exact_sums(block)
+        else:
+            assert [("value", bits(v)) for v in lg._exact_sums(block)] == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40),
+                      elements=st.one_of(st.floats(), st.sampled_from(SPECIALS))))
+    def test_any_floats_match_fsum(self, row):
+        assert fsum_outcome(lg._exact_sums, row) == fsum_outcome(math.fsum, row.tolist())
+
+    @pytest.mark.parametrize("row", [
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0, -0.0],
+        [2.0**-1022, 5e-324 - 2.0**-1022], [5e-324, 5e-324, 5e-324],
+        [1.7e308, 1.7e308, -1.7e308], [1.7e308, 1.7e308],
+        [math.inf, -math.inf], [math.inf, 1.0], [math.nan, 1.0]])
+    def test_edge_rows_match_fsum(self, row):
+        # signed zeros, exact subnormal sums, intermediate and final overflow
+        assert fsum_outcome(lg._exact_sums, np.array(row)) == fsum_outcome(math.fsum, row)
+
+    @pytest.mark.parametrize("particle", ["electron", "proton", "muon", "charm"])
+    def test_default_sums_take_the_integer_path(self, monkeypatch, particle):
+        p = BUILTIN_PARTICLES[particle]
+        radius = lg.default_radius(p)
+        ring = lg.ShellSource.ring(p.mass, radius, 1024, CGS.c)
+        sphere = lg.ShellSource.sphere(p.mass, radius, 10000, CGS.c)
+        r_values = np.geomspace(100 * radius, 1e4 * radius, 13)
+
+        def no_fallback(values):
+            raise AssertionError("a default row fell back to math.fsum")
+
+        monkeypatch.setattr(math, "fsum", no_fallback)
+        for s in (ring, sphere):
+            lg.mass_integral(s)
+            lg.spin_integral(s)
+            lg.far_potential(s, r_values, 0.0)
+            lg.shell_trace_a0(s, r_values)
+        lg.charge_estimate(ring, p)
 
 
 class TestWeylFields:
