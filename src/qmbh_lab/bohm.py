@@ -21,8 +21,9 @@ density, velocity, flux divergence and Q follow from the 1-D factors
 (`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`);
 the 2-D functions remain for general states.
 The unit vortex tanh(r/r0) e^{i azimuth} is likewise built straight from its
-real R and S (`vortex_fields`), with no complex grid; `vortex_state` and
-`decompose` remain its reference.
+real R and S (`vortex_fields`), with no complex grid, on any box of nodes
+given by their coordinates; `vortex_state` and `decompose` of the full grid
+remain its reference.
 Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
 849, 1987). The velocity v of a `MadelungFields` is computed from S on
@@ -32,7 +33,6 @@ evolved; Q + V is only evaluated on a given state.
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +101,12 @@ def vortex_state(n, dx, core_radius):
     return WaveGrid2D(psi, dx)
 
 
-def vortex_fields(n, dx, core_radius):
-    """Madelung fields of `vortex_state` built from R = tanh(r/r0) and
-    S = azimuth directly, with no complex grid: they match
-    `decompose(vortex_state(...))` to 2.3e-16 in R (relative) and in S, with
-    the same node mask."""
-    x = centered_axis(n, dx)
+def vortex_fields(x, dx, core_radius):
+    """Madelung fields of `vortex_state` on the square box of nodes with
+    coordinates x along each axis, built from R = tanh(r/r0) and S = azimuth
+    directly, with no complex grid. On the full grid, x = centered_axis(n, dx),
+    they match `decompose(vortex_state(...))` to 2.3e-16 in R (relative) and
+    in S, with the same node mask."""
     X, Y = x[:, None], x[None, :]
     R = np.hypot(X, Y)
     R /= core_radius
@@ -422,29 +422,3 @@ def product_q_plus_v_std(r, dx, potential):
     R = np.outer(r, r)
     return float(np.add.outer(h, h)[R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()].std())
 
-
-# Flat binary snapshot: 16-byte header (N, dx as little-endian float64),
-# then the row-major float64 grid; a text sidecar describes the payload.
-
-def encode_field(array, dx, label=""):
-    """(snapshot bytes, sidecar bytes) of a square real grid; `load_field` reads
-    the snapshot back."""
-    arr = np.ascontiguousarray(array, dtype="<f8")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("snapshot expects a square 2-D real grid")
-    payload = struct.pack("<dd", float(arr.shape[0]), float(dx)) + memoryview(arr)
-    sidecar = (f"field = {label or 'unnamed'}\n"
-               f"n = {arr.shape[0]}\n"
-               f"dx = {dx:.17g}\n"
-               "layout = header(n, dx as float64 LE) + row-major float64 grid\n")
-    return payload, sidecar.encode("utf-8")
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        n_float, dx = struct.unpack("<dd", fh.read(16))
-        n = int(n_float)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"snapshot payload size {data.size} != {n}x{n}")
-    return data.reshape(n, n).copy(), dx

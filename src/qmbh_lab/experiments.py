@@ -2,7 +2,7 @@
 
 Every experiment is a pure function of its parameters: its runner returns
 RatioCheck claims and its files as data (CSV tables with one header row and
-floats at 17 significant digits, or raw bytes) and touches no file. `run`
+floats at 17 significant digits) and touches no file. `run`
 makes the experiment's directory, or, if it is already there, deletes the
 tables that its previous report.json lists. Once the runner has returned it
 writes the new files, each formatted once to bytes and written to a temporary
@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +32,17 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
-def _atomic_write_bytes(path, data):
+def atomic_write_text(path, text):
     path = os.fspath(path)
     tmp = path + ".tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        view = memoryview(data)
+        view = memoryview(text.encode("utf-8"))
         while view:
             view = view[os.write(fd, view):]
     finally:
         os.close(fd)
     os.replace(tmp, path)
-
-
-def atomic_write_text(path, text):
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_table(path, header, rows):
@@ -181,7 +177,7 @@ def resolve_parameters(exp, given):
 
 
 # --------------------------------------------------------------------------
-# runners: params -> (claims, {file name: (header, rows) or bytes})
+# runners: params -> (claims, {file name: (header, rows)})
 
 def _run_constants_report(params):
     p = BUILTIN_PARTICLES[params["particle"]]
@@ -214,23 +210,30 @@ def _run_constants_report(params):
     }
 
 
-def _vortex_stage(n, dx):
-    """Circulation rows and quanta, the velocity-profile deviation, and the R
-    snapshot of a unit vortex, built from its real R and S; the half-winding
-    field is built only on the box that holds the mid loop."""
-    f = bohm.vortex_fields(n, dx, core_radius=2 * dx)
-    x = bohm.centered_axis(n, dx)
-    c0 = n // 2
+# bohm-vortex's node spacing: the vortex tanh(r/(2 dx)) e^{i azimuth} on the
+# nodes i dx is one lattice function for every dx, so its claims move with dx
+# by round-off only
+VORTEX_DX = 0.1
+
+
+def _vortex_stage(n, dx=VORTEX_DX):
+    """Circulation rows and the velocity-profile deviation of a unit vortex
+    built from its real R and S on the one central box that holds the outer
+    loop (50 nodes from the centre) and the profile annulus with the 2-node
+    halo of the gradient stencil; the half-winding field is built only on the
+    box that holds the mid loop."""
+    c0, m = n // 2, n // 4
+    h = max(50, m + 2)  # the box's half-width; its centre node is (h, h)
+    x = bohm.centered_axis(n, dx)[c0 - h:c0 + h + 1]
+    f = bohm.vortex_fields(x, dx, core_radius=2 * dx)
     loops = {
-        "inner": (c0 - 10, c0 - 10, c0 + 10, c0 + 10),
-        "mid": (c0 - 25, c0 - 20, c0 + 18, c0 + 24),
-        "outer": (c0 - 50, c0 - 50, c0 + 50, c0 + 50),
+        "inner": (h - 10, h - 10, h + 10, h + 10),
+        "mid": (h - 25, h - 20, h + 18, h + 24),
+        "outer": (h - 50, h - 50, h + 50, h + 50),
     }
     rows = []
-    quanta = {}
     for name, corners in loops.items():
         res = bohm.circulation(f, bohm.LoopPath.rectangle(*corners))
-        quanta[name] = res.half_quanta
         rows.append([name, res.gamma, res.half_quanta, res.residual])
 
     i0, j0, i1, j1 = loops["mid"]
@@ -239,28 +242,16 @@ def _vortex_stage(n, dx):
     rows.append(["half-winding", res_half.gamma, res_half.half_quanta,
                  res_half.residual])
 
-    profile_dev = float(np.max(_profile_deviations(f, x)))
-    # the snapshot last, once S is freed: it copies R
-    R = f.R
-    del f
-    snapshot = bohm.encode_field(R, dx, label="vortex amplitude R")
-    return rows, quanta, res_half.half_quanta, profile_dev, snapshot
-
-
-def _profile_deviations(f, x):
-    """|r |v| - 1| of a unit vortex at the off-node sites with
-    4 dx <= r <= n dx / 4, in row-major order. v is computed only on the
-    central box that holds that annulus, plus the 2-node halo of the gradient
-    stencil, which is then dropped."""
-    n, dx = f.n, f.dx
-    lo, hi = n // 2 - n // 4, n // 2 + n // 4 + 1
-    halo = slice(lo - 2, hi + 2)
-    v = replace(f, R=f.R[halo, halo], S=f.S[halo, halo],
-                node_mask=f.node_mask[halo, halo]).v[:, 2:-2, 2:-2]
+    # |r |v| - 1| at the off-node sites with 4 dx <= r <= n dx / 4. v is taken
+    # on the annulus box plus the halo only, which is then dropped: at grid 128
+    # the loop box is the larger one
+    core, halo = slice(h - m, h + m + 1), slice(h - m - 2, h + m + 3)
+    v = bohm._wrapped_gradient(f.S[halo, halo], dx, f.phase_period)[:, 2:-2, 2:-2]
     speed = np.hypot(v[0], v[1])
-    r = np.hypot(x[lo:hi, None], x[None, lo:hi])
-    sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~f.node_mask[lo:hi, lo:hi]
-    return np.abs(speed[sel] * r[sel] - 1.0)
+    r = np.hypot(x[core, None], x[None, core])
+    sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~f.node_mask[core, core]
+    profile_dev = float(np.max(np.abs(speed[sel] * r[sel] - 1.0)))
+    return rows, profile_dev
 
 
 def _half_winding_box(x, i0, j0, size, dx):
@@ -288,17 +279,15 @@ def _harmonic_stage(n):
 
 
 def _run_bohm_vortex(params):
-    # one stage at a time, so each stage's grids are freed before the next;
-    # the vortex stage last, so its snapshot is not held through the others
+    # one stage at a time, so each stage's grids are freed before the next
     n = params["grid"]
     continuity = _continuity_stage(n)
     q_std = _harmonic_stage(n)
-    rows, quanta, half_quanta, profile_dev, (snapshot, sidecar) = _vortex_stage(
-        n, params["dx"])
-    spread = max(quanta.values()) - min(quanta.values())
+    rows, profile_dev = _vortex_stage(n)
+    inner, mid, outer, half_quanta = (row[2] for row in rows)
+    spread = max(inner, mid, outer) - min(inner, mid, outer)
     claims = [
-        RatioCheck.relative("unit-winding-m-gamma-over-h",
-                            quanta["mid"] / 2, 1.0, 0.01,
+        RatioCheck.relative("unit-winding-m-gamma-over-h", mid / 2, 1.0, 0.01,
                             note="m*Gamma/h; half_quanta of a unit vortex is 2"),
         RatioCheck.upper_bound("loop-independence-spread", spread, 1e-3),
         RatioCheck.relative("half-winding-m-gamma-over-half-h",
@@ -311,8 +300,6 @@ def _run_bohm_vortex(params):
     ]
     return claims, {
         "circulation.csv": (["loop_id", "gamma", "half_quanta", "residual"], rows),
-        "vortex_R.grid": snapshot,
-        "vortex_R.grid.txt": sidecar,
     }
 
 
@@ -689,9 +676,9 @@ for _exp in [
                "vortex circulation quantization, continuity, Q constancy",
                # the outer loop reaches 50 sites from the centre; 2048^2
                # complex128 is 64 MiB per array, and a run's tracemalloc peak
-               # is 1.78 such arrays there (1.94 at 256, 2.08 at 128)
+               # is 1.51 such arrays there (1.66 at 256, 2.08 at 128)
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048)),
-                "dx": Param(0.1, *LENGTH), "profile_tol": Param(0.02, 0, 1, True)},
+                "profile_tol": Param(0.02, 0, 1, True)},
                _run_bohm_vortex),
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",
                {"particle": PARTICLE}, _run_ring_model),
@@ -783,12 +770,8 @@ def run(spec):
     try:
         params = resolve_parameters(exp, spec.parameters)
         claims, outputs = exp.runner(params)
-        for name, content in outputs.items():
-            path = os.path.join(outdir, name)
-            if isinstance(content, bytes):
-                _atomic_write_bytes(path, content)
-            else:
-                write_table(path, *content)
+        for name, (header, rows) in outputs.items():
+            write_table(os.path.join(outdir, name), header, rows)
             tables.append(name)
     except Exception as exc:  # recorded, not raised: run-all must continue
         error = f"{spec.id}: {type(exc).__name__}: {exc}"

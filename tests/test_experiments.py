@@ -353,19 +353,10 @@ class TestRun:
 
 
 class TestBohmVortex:
-    def test_small_grid_rejected(self, tmp_path):
-        report = experiments.run(experiments.ExperimentSpec(
-            "bohm-vortex", {"grid": "64"}, tmp_path))
-        assert report.status == "fail"
-        assert report.claims == []
-        assert report.error.startswith("bohm-vortex: ValueError: parameter 'grid'")
-        assert not (tmp_path / "vortex_R.grid").exists()
-
     @pytest.mark.parametrize("key, raw", [
+        ("grid", "64"),
         ("grid", "200"),
         ("grid", "4096"),
-        ("dx", "0"),
-        ("dx", "-0.1"),
         ("profile_tol", "0"),
         ("profile_tol", "-1"),
     ])
@@ -383,9 +374,10 @@ class TestBohmVortex:
 
     def test_runner_peak_memory(self):
         # the continuity and Q stages run on 1-D factors and the vortex stage
-        # holds only its real R and S and takes v on the central box: 1.94
-        # complex n x n grids are alive at once at grid 256 (2.5 when the
-        # vortex was built as a complex state, 6.6 when the three evolved
+        # builds its real R and S on the central box only: at grid 256 the
+        # continuity stage's 1.66 complex n x n grids are the peak (1.94, set
+        # by the vortex stage, when its R and S covered the grid; 2.5 when the
+        # vortex was built as a complex state; 6.6 when the three evolved
         # states were 2-D)
         params = experiments.resolve_parameters(
             experiments.EXPERIMENTS["bohm-vortex"], {})
@@ -396,7 +388,21 @@ class TestBohmVortex:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * params["grid"] ** 2 * 16
+        assert peak <= 2 * params["grid"] ** 2 * 16
+
+    def test_rerun_clears_an_older_snapshot(self, tmp_path):
+        # a directory written when bohm-vortex also wrote its R snapshot: the
+        # rerun deletes the tables its report.json lists
+        spec = experiments.ExperimentSpec("bohm-vortex", {"grid": "128"}, tmp_path)
+        experiments.run(spec)
+        record = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        record["tables"] += ["vortex_R.grid", "vortex_R.grid.txt"]
+        (tmp_path / "report.json").write_text(json.dumps(record), encoding="utf-8")
+        for name in ("vortex_R.grid", "vortex_R.grid.txt"):
+            (tmp_path / name).write_bytes(b"snapshot")
+        assert experiments.run(spec).status == "pass"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["circulation.csv",
+                                                              "report.json"]
 
     def test_smallest_grid_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec(
