@@ -12,8 +12,8 @@ from pathlib import Path
 import click
 
 from .experiments import (EXPERIMENTS, ExperimentSpec, parse_config,
-                          resolve_parameters, run, run_all, summary_lines,
-                          ExperimentReport)
+                          resolve_parameters, run, run_all, split_overrides,
+                          summary_lines, ExperimentReport)
 
 OUT_ENV_VAR = "QMBH_OUT"
 
@@ -85,7 +85,9 @@ def run_one(ctx, experiment_id, out_flag):
 def run_all_cmd(config_path, out_flag):
     """Run every registered experiment; exit status = number of failures.
 
-    A bad config is a usage error (exit status 2) and nothing runs.
+    A bad config, including an out-of-domain override for any experiment,
+    selected by `only` or not, is a usage error (exit status 2): nothing
+    runs and no directory is touched.
     """
     overrides = {}
     only = None
@@ -103,6 +105,11 @@ def run_all_cmd(config_path, out_flag):
                 else:
                     raise click.UsageError(f"unrecognized config key {key!r}")
         out_root = _default_out(out_flag, config_out)
+        for exp_id, given in split_overrides(overrides).items():
+            try:
+                resolve_parameters(EXPERIMENTS[exp_id], given)
+            except ValueError as exc:
+                raise click.UsageError(f"{exp_id}: {exc}") from exc
         reports, failures = run_all(out_root, overrides=overrides, only=only)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

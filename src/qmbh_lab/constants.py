@@ -152,14 +152,13 @@ def classical_radius(p):
 
 
 def coupling_identities(p):
-    """hbar*c/e^2 through two algebraic routes, the rounded-length variant,
-    and the e*Phi = m*c^2 shell identity.
+    """hbar*c/e^2, the rounded-length variant, and the e*Phi = m*c^2 shell
+    identity.
     """
     _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: coupling checks undefined for zero charge")
     direct = CGS.hbar * CGS.c / p.charge**2
-    via_lengths = compton_wavelength(p) / classical_radius(p)
     # Historical rounded lengths: hbar/mc ~ 3.8e-11 cm, e^2/mc^2 ~ 2.8e-13 cm.
     rounded = 3.8e-11 / 2.8e-13
     a = classical_radius(p)
@@ -167,7 +166,6 @@ def coupling_identities(p):
     e_phi_over_rest = abs(p.charge) * phi / (p.mass * CGS.c**2)
     return [
         RatioCheck.relative("hbar-c-over-e2", direct, 137.04, 0.5 / 137.04),
-        RatioCheck.relative("hbar-c-over-e2-via-lengths", via_lengths, direct, 1e-12),
         RatioCheck.relative("hbar-c-over-e2-rounded", rounded, 135.7, 0.5 / 135.7),
         RatioCheck.relative("e-phi-equals-rest-energy", e_phi_over_rest, 1.0, 1e-12),
     ]

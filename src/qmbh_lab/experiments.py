@@ -180,7 +180,8 @@ def resolve_parameters(exp, given):
 # runners: params -> (claims, {file name: (header, rows)})
 
 def _run_constants_report(params):
-    p = BUILTIN_PARTICLES[params["particle"]]
+    # the references 137.04, 135.7 and 4.17e42 are electron numbers
+    p = BUILTIN_PARTICLES["electron"]
     claims = list(coupling_identities(p))
     claims.append(RatioCheck.relative("charge-to-gravity-magnitude",
                                       p.charge**2 / (CGS.G * p.mass**2),
@@ -311,12 +312,9 @@ def _run_ring_model(params):
     p = BUILTIN_PARTICLES[params["particle"]]
     rows = [[n, p.mass, n * CGS.hbar / (2 * p.mass * CGS.c), p.mass * CGS.c**2]
             for n in (1, 2)]
-    (_, _, r1, energy), (_, _, r2, _) = rows
+    _, _, r1, energy = rows[0]
     ring = lin_gravity.ShellSource.ring(p.mass, r1, 4096, CGS.c)
     claims = [
-        RatioCheck.relative("ring-radius-n1", r1, half_compton_wavelength(p), 1e-12),
-        RatioCheck.relative("ring-energy", energy, p.mass * CGS.c**2, 1e-12),
-        RatioCheck.relative("ring-radius-doubling", r2 / r1, 2.0, 1e-12),
         RatioCheck.relative("ring-energy-quadrature",
                             lin_gravity.mass_integral(ring) * CGS.c**2 / energy,
                             1.0, 1e-10),
@@ -391,19 +389,11 @@ def _run_dispersion_vs_relativity(params):
     em, _, _ = hopping.self_consistent_mass(spec, whole, psi0)
 
     mc = em.m  # c = 1
-    checks_small, dev_small = hopping.emergent_hamiltonian_check(
-        em, params["p_max_frac"] * mc)
-    _, dev_large = hopping.emergent_hamiltonian_check(em, mc)
+    claims, _ = hopping.emergent_hamiltonian_check(em, params["p_max_frac"] * mc)
 
     p = np.linspace(0.0, mc, 65)
     e_nr = p**2 / (2 * em.m) + em.m
     e_rel = np.sqrt(p**2 + em.m**2)
-
-    claims = list(checks_small)
-    claims.append(RatioCheck.upper_bound("small-p-deviation", dev_small, 1.5e-5))
-    claims.append(RatioCheck.relative("luminal-p-deviation", dev_large,
-                                      1.5 - math.sqrt(2.0), 1e-3,
-                                      note="deviation at p = mc"))
     return claims, {"dispersion_vs_relativity.csv": (
         ["p", "E_quadratic", "E_relativistic"], np.column_stack((p, e_nr, e_rel)))}
 
@@ -515,21 +505,12 @@ def _run_kn_horizon(params):
         rows.append([name, kpp.m_star, kpp.a_star, kpp.q_star,
                      hh.r_plus.real, hh.r_plus.imag, str(hh.naked)])
 
-    schw = kerr_newman.KNParams(mass=CGS.c**2 / CGS.G, charge=0.0,
-                                angular_momentum=0.0)
-    hs = kerr_newman.horizons(schw)
-
     product = hz.r_plus * hz.r_minus
     target = kp.q_star**2 + kp.a_star**2
     claims = [
         RatioCheck.relative("naked-horizon-imag", hz.r_plus.imag,
                             half_compton_wavelength(p), 1e-3),
         RatioCheck.relative("naked-horizon-real", hz.r_plus.real, kp.m_star, 1e-3),
-        RatioCheck.relative("naked-flag", 1.0 if hz.naked else 0.0, 1.0, 0.0),
-        RatioCheck.relative("schwarzschild-r-plus", hs.r_plus.real,
-                            2 * schw.m_star, 1e-12),
-        RatioCheck.relative("root-sum", (hz.r_plus + hz.r_minus).real,
-                            2 * kp.m_star, 1e-12),
         RatioCheck.relative("root-product", abs(product), target, 1e-10),
     ]
     return claims, {"horizons.csv": (["name", "M_star", "a_star", "Q_star",
@@ -567,17 +548,19 @@ def _run_kn_fields(params):
                                        rows)}
 
 
+# metric-slice's fixed slice, r = a on the equator with m = e = eps a: the
+# corotating references -1/2 and +1/2 hold at lam = 1/2 only, up to gaps of
+# eps/2 that the 2e-6 relative bounds admit up to eps = 2e-6
+SLICE_A, SLICE_EPS, SLICE_LAM = 1.0, 1e-8, 0.5
+
+
 def _run_metric_slice(params):
-    a = params["a"]
-    eps = params["eps"]
-    lam = params["lam"]
-    s = kerr_newman.metric_slice(a, eps * a, eps * a, a, math.pi / 2, lam)
-    null = kerr_newman.metric_slice(a, eps * a, eps * a, a, math.pi / 2,
-                                    1 / math.sqrt(2))
+    a, m = SLICE_A, SLICE_EPS * SLICE_A
+    s = kerr_newman.metric_slice(a, m, m, a, math.pi / 2, SLICE_LAM)
+    null = kerr_newman.metric_slice(a, m, m, a, math.pi / 2, 1 / math.sqrt(2))
     rows = []
     for lam_i in np.linspace(0.1, 1.0, 10):
-        si = kerr_newman.metric_slice(a, eps * a, eps * a, a, math.pi / 2,
-                                      float(lam_i))
+        si = kerr_newman.metric_slice(a, m, m, a, math.pi / 2, float(lam_i))
         rows.append([lam_i, si.dt2_coeff, si.dr2_coeff, si.doubling_factor])
 
     claims = [
@@ -625,7 +608,7 @@ def _run_shell_spin(params):
 
 
 def _run_charge_confinement(params):
-    p = BUILTIN_PARTICLES[params["particle"]]
+    p = BUILTIN_PARTICLES["electron"]
     radius = lin_gravity.default_radius(p)
     ring = lin_gravity.ShellSource.ring(p.mass, radius, params["elements"], CGS.c)
     claims = list(lin_gravity.charge_estimate(ring, p))
@@ -661,9 +644,6 @@ def _run_charge_confinement(params):
 # scales, shell radii and horizon widths all divide by the mass.
 MASSIVE = tuple(name for name, p in BUILTIN_PARTICLES.items() if p.mass > 0)
 PARTICLE = Param("electron", choices=MASSIVE)
-# constants-report's and charge-confinement's references (4.17e42, 137.04,
-# 1e40, 2.79) are electron numbers
-ELECTRON = Param("electron", choices=("electron",))
 # hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
 SITES, LENGTH, ELEMENTS = (128, 4096), (1e-3, 1e3), (16, 1 << 14)
 
@@ -671,7 +651,7 @@ EXPERIMENTS = {}
 for _exp in [
     Experiment("constants-report",
                "coupling, charge-gravity, and shell-identity ratio checks",
-               {"particle": ELECTRON}, _run_constants_report),
+               {}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
                # the outer loop reaches 50 sites from the centre; 2048^2
@@ -692,7 +672,8 @@ for _exp in [
     Experiment("dispersion-vs-relativity",
                "quadratic-plus-rest spectrum against the relativistic energy",
                {"sites": Param(512, *SITES), "b": Param(0.25, *LENGTH),
-                # small-p-deviation's 1.5e-5 is about p_max_frac^4 / 8
+                # dispersion-vs-relativity's bound (p_max_frac)^4 / 8 is the
+                # next Taylor order, a small-p expansion
                 "a": Param(0.9, *LENGTH), "p_max_frac": Param(0.1, 0, 0.1, True)},
                _run_dispersion_vs_relativity),
     Experiment("zbw", "zitterbewegung frequency, amplitude, and averaging",
@@ -709,8 +690,7 @@ for _exp in [
                # the far zone starts at 100 a* = 1.9e-9 cm for the electron
                {"particle": PARTICLE, "r": Param(1.0, 1e-8, 1e8)}, _run_kn_fields),
     Experiment("metric-slice", "corotating and null slice coefficients",
-               {"a": Param(1.0, 1e-6, 1e6), "eps": Param(1e-8, 0, 1),
-                "lam": Param(0.5, 0.01, 1)}, _run_metric_slice),
+               {}, _run_metric_slice),
     Experiment("shell-spin", "ring/shell spin and far-potential quadrature",
                # sphere-spin-pi-eighth-hbar's 1e-4 needs about 400 shell
                # elements (error 3.9e-5 there, falling as N^-1.5)
@@ -718,7 +698,8 @@ for _exp in [
                 "sphere_elements": Param(10000, 400, ELEMENTS[1])}, _run_shell_spin),
     Experiment("charge-confinement",
                "charge magnitude arithmetic and the Coulomb-plus-linear fit",
-               {"particle": ELECTRON, "elements": Param(1024, *ELEMENTS),
+               # mass-charge-cgs-ratio's 2.79 is an electron number
+               {"elements": Param(1024, *ELEMENTS),
                 # confinement-ratio-scale: the ratio is 8 m^2, within 1.5 decades
                 # of 1 only for m in [0.0629, 1.988] GeV; rounded inward
                 "quark_mass_gev": Param(1.8, 0.065, 1.95)}, _run_charge_confinement),
@@ -781,15 +762,28 @@ def run(spec):
     return report
 
 
+def split_overrides(overrides):
+    """"experiment.param" -> raw value as {experiment id: {param: raw value}};
+    a key that names no registered experiment or parameter raises ValueError."""
+    params = {exp_id: {} for exp_id in EXPERIMENTS}
+    for key, value in overrides.items():
+        prefix, _, name = key.partition(".")
+        if prefix not in EXPERIMENTS or name not in EXPERIMENTS[prefix].params:
+            raise ValueError(f"override {key!r} is not "
+                             f"`<registered experiment id>.<parameter>`")
+        params[prefix][name] = value
+    return params
+
+
 def run_all(out_root, overrides=None, only=None):
     """Run the registered experiments; returns (reports, failure count).
 
     `overrides` maps "experiment.param" -> raw value, and a key that names no
     registered experiment or no parameter raises ValueError before anything
-    runs; `only`, when not None, restricts the run to the listed ids (an
-    empty list runs nothing).
+    runs (an out-of-domain value is recorded as that experiment's failure);
+    `only`, when not None, restricts the run to the listed ids (an empty list
+    runs nothing).
     """
-    overrides = overrides or {}
     out_root = Path(out_root)
     ids = list(EXPERIMENTS)
     if only is not None:
@@ -797,14 +791,7 @@ def run_all(out_root, overrides=None, only=None):
         if unknown:
             raise ValueError(f"unknown experiment ids in filter: {unknown}")
         ids = [i for i in ids if i in set(only)]
-    params = {exp_id: {} for exp_id in ids}
-    for key, value in overrides.items():
-        prefix, _, name = key.partition(".")
-        if prefix not in EXPERIMENTS or name not in EXPERIMENTS[prefix].params:
-            raise ValueError(f"override {key!r} is not "
-                             f"`<registered experiment id>.<parameter>`")
-        if prefix in params:
-            params[prefix][name] = value
+    params = split_overrides(overrides or {})
     reports = [run(ExperimentSpec(exp_id, params[exp_id], out_root / exp_id))
                for exp_id in ids]
     failures = sum(1 for r in reports if r.status != "pass")

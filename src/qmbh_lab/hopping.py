@@ -220,10 +220,7 @@ def emergent_hamiltonian_check(em, p_max, samples=401):
     e_rel = np.sqrt(p**2 + m**2)
     deviation = float(np.max(np.abs(e_nr - e_rel)) / m)
     bound = (p_max / m) ** 4 / 8 + 1e-9
-    mid = samples // 2
     return [
         RatioCheck.upper_bound("dispersion-vs-relativity", deviation, bound,
                                note=f"max |E_nr - E_rel|/mc^2 over |p| <= {p_max:g}"),
-        RatioCheck.relative("rest-energy-at-p-zero",
-                            float(e_nr[mid] / e_rel[mid]), 1.0, 1e-14),
     ], deviation

@@ -47,9 +47,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("exp_id, key, raw", [
         ("zbw", "sigma", "nan"),
-        ("metric-slice", "lam", "inf"),
+        ("kn-fields", "r", "inf"),
         ("zbw", "sigma", float("nan")),
-        ("metric-slice", "lam", float("-inf")),
+        ("kn-fields", "r", float("-inf")),
     ])
     def test_non_finite_value_rejected(self, tmp_path, exp_id, key, raw):
         report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
@@ -130,7 +130,7 @@ class TestRegistry:
         # sphere-spin-pi-eighth-hbar (1e-4) fails at 16 shell elements
         *[("shell-spin", "sphere_elements", "400", "399", {"particle": particle})
           for particle in experiments.MASSIVE],
-        # small-p-deviation (1.5e-5) fails at 0.11
+        # dispersion-vs-relativity's Taylor-order bound is a small-p one
         ("dispersion-vs-relativity", "p_max_frac", "0.1", "0.11", {}),
     ])
     def test_claim_domain_ends(self, tmp_path, exp_id, key, inside, outside, given):
@@ -157,15 +157,8 @@ class TestRegistry:
         ("charge-confinement", "quark_mass_gev", "2.0"),
         ("kn-fields", "r", "0"),
         ("shell-spin", "ring_elements", "2"),
-        ("metric-slice", "a", "-1"),
-        ("metric-slice", "eps", "-1"),
-        ("metric-slice", "lam", "0"),
     ] + [(exp_id, "particle", "neutrino") for exp_id in [
-        "constants-report", "ring-model", "kn-horizon", "kn-fields", "shell-spin",
-        "charge-confinement"]] + [
-        # their references are electron numbers
-        (exp_id, "particle", "proton") for exp_id in [
-            "constants-report", "charge-confinement"]])
+        "ring-model", "kn-horizon", "kn-fields", "shell-spin"]])
     def test_value_outside_domain_rejected(self, tmp_path, exp_id, key, raw):
         report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
                                                             tmp_path))
@@ -183,6 +176,22 @@ class TestRegistry:
                 assert p.contains(p.default), key
         assert experiments.resolve_parameters(exp, {}) == {
             key: p.default for key, p in exp.params.items()}
+
+    # constants, not parameters: metric-slice's references hold on its one
+    # slice only, and the other two compare with electron numbers
+    @pytest.mark.parametrize("exp_id, key, raw", [
+        ("metric-slice", "a", "-1"), ("metric-slice", "eps", "-1"),
+        ("metric-slice", "lam", "0"), ("metric-slice", "lam", "0.5"),
+        *[(exp_id, "particle", name) for exp_id in ["constants-report",
+                                                    "charge-confinement"]
+          for name in ["neutrino", "proton", "electron"]]])
+    def test_constant_rejected(self, tmp_path, exp_id, key, raw):
+        report = experiments.run(experiments.ExperimentSpec(exp_id, {key: raw},
+                                                            tmp_path))
+        assert report.error == (f"{exp_id}: ValueError: unknown parameter {key!r} "
+                                f"for experiment {exp_id!r}")
+        assert report.claims == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_particle_domain_is_the_massive_catalog(self):
         assert experiments.MASSIVE == ("electron", "proton", "muon", "charm")
@@ -220,8 +229,7 @@ class TestRegistry:
 class TestRingModel:
     """ring-model runs on lin_gravity's luminal ring."""
 
-    RING_CLAIMS = ["ring-radius-n1", "ring-energy", "ring-radius-doubling",
-                   "ring-energy-quadrature", "ring-action-quadrature"]
+    RING_CLAIMS = ["ring-energy-quadrature", "ring-action-quadrature"]
 
     @pytest.mark.parametrize(
         "particle", experiments.EXPERIMENTS["ring-model"].params["particle"].choices)
@@ -246,11 +254,11 @@ class TestRingModel:
 
 
 class TestRun:
-    def test_constants_report_has_six_passing_claims(self, tmp_path):
+    def test_constants_report_has_five_passing_claims(self, tmp_path):
         report = experiments.run(
             experiments.ExperimentSpec("constants-report", {}, tmp_path))
         assert report.status == "pass"
-        assert len(report.claims) == 6
+        assert len(report.claims) == 5
         assert all(c.passed for c in report.claims)
 
     def test_kn_horizon_naked_claim(self, tmp_path):
@@ -259,7 +267,7 @@ class TestRun:
                                        tmp_path))
         assert report.status == "pass"
         by_id = {c.id: c for c in report.claims}
-        assert by_id["naked-flag"].passed
+        assert by_id["naked-horizon-imag"].passed
 
     def test_report_file_written(self, tmp_path):
         report = experiments.run(
@@ -308,7 +316,7 @@ class TestRun:
         (outdir / "report.json").write_text(json.dumps({"tables": listed}),
                                             encoding="utf-8")
         report = experiments.run(experiments.ExperimentSpec(
-            "metric-slice", {"lam": "inf"}, outdir))
+            "kn-fields", {"r": "inf"}, outdir))
         assert report.status == "fail"
         assert sorted(p.name for p in outdir.iterdir()) == [
             "link.csv", "report.json", "sub", "unlisted.csv"]
@@ -320,7 +328,7 @@ class TestRun:
     def test_unreadable_previous_report_is_ignored(self, tmp_path, text):
         (tmp_path / "report.json").write_text(text, encoding="utf-8")
         (tmp_path / "a").write_text("x\n", encoding="utf-8")
-        experiments.run(experiments.ExperimentSpec("metric-slice", {"lam": "inf"},
+        experiments.run(experiments.ExperimentSpec("kn-fields", {"r": "inf"},
                                                    tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "report.json"]
 
@@ -347,7 +355,7 @@ class TestRun:
 
     def test_report_json_without_claims(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec(
-            "metric-slice", {"lam": "inf"}, tmp_path))
+            "kn-fields", {"r": "inf"}, tmp_path))
         text = (tmp_path / "report.json").read_text(encoding="utf-8")
         assert report.claims == [] and json.loads(text) == report.to_dict()
 
@@ -473,7 +481,7 @@ class TestRunAll:
         reports, _ = experiments.run_all(tmp_path, only=["ring-model"])
         lines = experiments.summary_lines(reports)
         assert lines[0] == "id,claims_passed,claims_total,status"
-        assert lines[1] == "ring-model,5,5,pass"
+        assert lines[1] == "ring-model,2,2,pass"
 
 
 class TestConfigParsing:
@@ -565,14 +573,14 @@ class TestCli:
     def test_run_unknown_parameter_is_usage_error(self, tmp_path):
         # an unknown name, an out-of-domain value and a repeated flag all exit
         # 2 before the previous run's tables are cleared
-        CliRunner().invoke(cli.main, ["run", "metric-slice", "--out", str(tmp_path)])
-        outdir = tmp_path / "metric-slice"
+        CliRunner().invoke(cli.main, ["run", "kn-fields", "--out", str(tmp_path)])
+        outdir = tmp_path / "kn-fields"
         before = {f.name: f.read_bytes() for f in outdir.iterdir()}
-        assert {"slices.csv", "report.json"} <= set(before)
-        for flags, name in [(["--lamm", "0.4"], "'lamm'"), (["--lam", "5"], "'lam'"),
-                            (["--lam", "0.3", "--lam", "0.5"], "'lam'")]:
+        assert {"far_fields.csv", "report.json"} <= set(before)
+        for flags, name in [(["--rr", "2"], "'rr'"), (["--r", "0"], "'r'"),
+                            (["--r", "2", "--r", "3"], "'r'")]:
             result = CliRunner().invoke(
-                cli.main, ["run", "metric-slice", *flags, "--out", str(tmp_path)])
+                cli.main, ["run", "kn-fields", *flags, "--out", str(tmp_path)])
             assert result.exit_code == 2, flags
             assert name in result.output
             assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
@@ -583,7 +591,7 @@ class TestCli:
         result = CliRunner().invoke(
             cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 0
-        assert "ring-model,5,5,pass" in result.output
+        assert "ring-model,2,2,pass" in result.output
 
     def test_run_all_exit_code_counts_failures(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
@@ -609,6 +617,41 @@ class TestCli:
         assert key in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("zbw.sigma = 0\n", "zbw: parameter 'sigma'"),
+        ("only = ring-model\nkn-fields.r = 0\n", "kn-fields: parameter 'r'"),
+    ], ids=["selected", "outside-only"])
+    def test_run_all_bad_value_leaves_previous_output(self, tmp_path, text, message):
+        # every override is checked before any directory is touched, also one
+        # for an experiment that `only` leaves out
+        out = tmp_path / "o"
+        assert CliRunner().invoke(cli.main, ["run-all", "--out", str(out)]).exit_code == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(
+            cli.main, ["run-all", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("exp_id, key, raw", [("metric-slice", "lam", "0.5"),
+                                                  ("constants-report", "particle",
+                                                   "electron")])
+    def test_constant_is_usage_error(self, tmp_path, exp_id, key, raw):
+        out = tmp_path / "o"
+        result = CliRunner().invoke(
+            cli.main, ["run", exp_id, f"--{key}", raw, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"unknown parameter {key!r}" in result.output
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{exp_id}.{key} = {raw}\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            cli.main, ["run-all", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"override '{exp_id}.{key}'" in result.output
+        assert not out.exists()
+
     def test_run_all_empty_filter_warns(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only =\n", encoding="utf-8")
@@ -628,8 +671,8 @@ class TestCli:
         experiments.run_all(out, only=["ring-model", "kn-horizon"])
         result = CliRunner().invoke(cli.main, ["report", str(out)])
         assert result.exit_code == 0
-        assert "kn-horizon,6,6,pass" in result.output
-        assert "ring-model,5,5,pass" in result.output
+        assert "kn-horizon,3,3,pass" in result.output
+        assert "ring-model,2,2,pass" in result.output
 
     @pytest.mark.parametrize("damage, error", [
         (lambda text: text[:len(text) // 2], "JSONDecodeError"),

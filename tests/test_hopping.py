@@ -189,12 +189,6 @@ class TestEmergentHamiltonianCheck:
         assert dev <= 1.5e-5
         assert all(c.passed for c in checks)
 
-    def test_rest_energy_exact(self):
-        mc = self.em.m * self.em.c
-        checks, _ = hopping.emergent_hamiltonian_check(self.em, 0.5 * mc)
-        by_id = {c.id: c for c in checks}
-        assert by_id["rest-energy-at-p-zero"].computed == 1.0
-
     def test_luminal_momentum_deviation(self):
         mc = self.em.m * self.em.c
         _, dev = hopping.emergent_hamiltonian_check(self.em, mc)

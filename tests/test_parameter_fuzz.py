@@ -6,7 +6,8 @@ at no fewer than 20 per period), and at most one is then redrawn just outside
 it (or, for `particle`, a massless or unknown name). A run inside every domain
 must end with a non-empty list of claims, all computed values finite; a run
 with one value outside must fail with a ValueError that names that parameter,
-before any claim is computed.
+before any claim is computed. With the tolerance parameters held at their
+defaults, a run inside every domain must pass every claim.
 """
 
 import math
@@ -16,6 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import experiments
 from qmbh_lab.experiments import EXPERIMENTS
+
+# loosening or tightening these moves a claim's bound, not its computation
+TOLERANCES = ("omega_tol", "suppress_factor", "profile_tol")
 
 
 def _inside(p):
@@ -44,9 +48,14 @@ def _outside(p):
 
 
 @st.composite
-def _draws(draw, exp):
+def _draws(draw, exp, inside_only=False):
+    """(params, the parameter drawn outside its domain or None); with
+    `inside_only`, every value is inside and the tolerances keep their
+    defaults."""
     params = {}
     for key, p in exp.params.items():
+        if inside_only and key in TOLERANCES:
+            continue
         if key == "grid":
             strategy = st.sampled_from([128, 256])
         elif key == "samples":  # zbw's rule: at least 20 samples per period
@@ -54,6 +63,8 @@ def _draws(draw, exp):
         else:
             strategy = _inside(p)
         params[key] = draw(strategy)
+    if inside_only or not exp.params:  # st.sampled_from([]) is invalid
+        return params, None
     bad = draw(st.one_of(st.none(), st.sampled_from(list(exp.params))))
     if bad is not None:
         params[bad] = draw(_outside(exp.params[bad]))
@@ -75,5 +86,18 @@ def test_run_gives_finite_claims_or_names_the_rejected_parameter(tmp_path, exp_i
             assert report.error.startswith(
                 f"{exp_id}: ValueError: parameter {bad!r}"), (params, report.error)
             assert report.claims == []
+
+    check()
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_run_inside_every_domain_passes(tmp_path, exp_id):
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(_draws(EXPERIMENTS[exp_id], inside_only=True))
+    def check(case):
+        params, _ = case
+        report = experiments.run(experiments.ExperimentSpec(exp_id, params, tmp_path))
+        assert report.status == "pass", (
+            params, report.error, [c.id for c in report.claims if not c.passed])
 
     check()
