@@ -33,7 +33,7 @@ evolved; Q + V is only evaluated on a given state.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,19 +259,21 @@ class LoopPath:
     """Closed, simple, axis-aligned path through grid nodes.
 
     `nodes` lists (i, j) indices; consecutive nodes (and last-to-first) must
-    be nearest neighbours.
+    be nearest neighbours. `ij` holds them as an (n, 2) array.
     """
 
     nodes: list
+    ij: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nodes) < 4:
             raise ValueError("loop needs at least 4 nodes")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("loop must be simple (no repeated nodes)")
-        for (i0, j0), (i1, j1) in self.segments():
-            if abs(i1 - i0) + abs(j1 - j0) != 1:
-                raise ValueError("loop segments must follow grid edges")
+        self.ij = np.array(self.nodes)
+        steps = np.diff(self.ij, axis=0, append=self.ij[:1])  # last to first included
+        if not (np.abs(steps).sum(axis=1) == 1).all():
+            raise ValueError("loop segments must follow grid edges")
 
     def segments(self):
         closed = self.nodes + [self.nodes[0]]
@@ -305,7 +307,7 @@ def circulation(fields, loop):
     field's phase period, so gamma = sum of local dS. half_quanta is
     gamma/pi together with its nearest integer and residual.
     """
-    nodes = np.array(loop.nodes)
+    nodes = loop.ij
     outside = ((nodes < 0) | (nodes >= fields.n)).any(axis=1)
     if outside.any():
         i, j = loop.nodes[int(np.argmax(outside))]
@@ -380,7 +382,7 @@ def product_continuity_residual(fa, fb, dx, dt, steps):
     rho = ra^2 rb^2 and S = Sa(x) + Sb(y), so div(rho v) is
     (ra^2 va)' rb^2 + ra^2 (rb^2 vb)'. Nodes are not masked: there rho is
     below 1e-16 of its peak, so the flux is too. Only the final maxima and
-    RMS use n x n grids, all real.
+    RMS use n x n grids, two real ones.
     """
     factors = []
     for f in (fa, fb):
@@ -394,11 +396,14 @@ def product_continuity_residual(fa, fb, dx, dt, steps):
         factors.append((minus, rho, plus, _rfft_derivative(rho * v, dx, 1)))
     (am, a, ap, da), (bm, b, bp, db) = factors
     rho_dot = np.outer(ap, bp)
-    rho_dot -= np.outer(am, bm)
+    div = np.outer(am, bm)
+    rho_dot -= div
     rho_dot /= 2 * dt
-    div = np.outer(da, b)
-    div += np.outer(a, db)
-    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
+    np.outer(da, b, out=div)
+    for i in range(0, len(a), 64):
+        div[i:i + 64] += np.outer(a[i:i + 64], db)
+    # max |g| without a grid of |g|
+    scale = max(max(float(g.max()), -float(g.min())) for g in (rho_dot, div))
     rho_dot += div
     rho_dot **= 2
     return float(np.sqrt(np.mean(rho_dot))) / scale
@@ -420,5 +425,11 @@ def product_q_plus_v_std(r, dx, potential):
     h /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
     h += potential(centered_axis(r.size, dx))
     R = np.outer(r, r)
-    return float(np.add.outer(h, h)[R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()].std())
+    keep = R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()
+    del R
+    kept = np.add.outer(h, h)[keep]
+    # np.std's steps, in place on the kept sites
+    kept -= kept.mean()
+    kept **= 2
+    return math.sqrt(kept.mean())
 

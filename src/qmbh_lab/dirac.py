@@ -212,8 +212,8 @@ def _rotation_table(times, omega):
 
 
 def _bloch_traces(packets, t_max, samples):
-    """(times, [(<x>, <sigma_x>) per packet]) in closed form, for packets on
-    one k grid. exp(-iHt) turns each mode's Bloch vector
+    """(times, [<x> per packet], <sigma_x> of the first packet) in closed form,
+    for packets on one k grid. exp(-iHt) turns each mode's Bloch vector
     s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
     <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
     and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
@@ -221,18 +221,20 @@ def _bloch_traces(packets, t_max, samples):
     The samples sit at t = (j b + r) dt with b = isqrt(samples - 1) + 1, j < q =
     ceil(samples / b) and r < b, so angle addition splits every phase into a
     coarse angle omega j b dt and a fine one omega r dt (the separable step of
-    non-uniform FFTs; Dutt & Rokhlin 1993). The beat coefficients are rotated by
-    the coarse table, and real (q, n_k) x (n_k, b) products with the fine table
-    give both traces as row-major (j, r) blocks; built by rotation, the
-    tables take about log2(samples) n_k exponentials, not samples n_k. The
-    phases 2E(k) t depend on the k grid only, so the packets share the tables."""
+    non-uniform FFTs; Dutt & Rokhlin 1993). Modes of bit-equal 2E(k), such as
+    k and -k, are first summed into one beat, so the tables hold one column per
+    distinct frequency, n_w in all. The beats are rotated by the coarse table,
+    and real (q, n_w) x (n_w, b) products with the fine table give the traces
+    as row-major (j, r) blocks; built by rotation, the tables take about
+    log2(samples) n_w exponentials, not samples n_w. The phases 2E(k) t depend
+    on the k grid only, so the packets share the tables."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if samples < 16:
         raise ValueError("need at least 16 samples")
     hx, hz, e = _hamiltonian_fields(packets[0])
     nx, nz = hx / e, hz / e
-    omega = 2 * e
+    omega, column = np.unique(2 * e, return_inverse=True)
     times = np.linspace(0.0, t_max, samples)
     dt = times[1] - times[0]
     b = math.isqrt(samples - 1) + 1
@@ -240,24 +242,29 @@ def _bloch_traces(packets, t_max, samples):
     coarse = _rotation_table(np.arange(q) * b * dt, omega)
     fine = _rotation_table(np.arange(b) * dt, omega)
     sin_c, cos_c = coarse.imag, coarse.real
-    sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_k, b) operands
+    sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_w, b) operands
     del fine
-    traces = []
+    x_traces = []
     for packet in packets:
         a0, a1 = packet.a
         weight = packet.dk / packet.norm()
         cross = 2 * weight * np.conj(a0) * a1
         drift = nx * (nx * cross.real + nz * weight * (np.abs(a0) ** 2 - np.abs(a1) ** 2))
-        beat_cos, beat_sin = cross.real - drift, nz * cross.imag
+        beat_cos, beat_sin = (np.bincount(column, w, omega.size)
+                              for w in (cross.real - drift, nz * cross.imag))
         # real and imaginary parts of (beat_cos + i beat_sin) e^{i omega j b dt}
-        re = cos_c * beat_cos - sin_c * beat_sin
-        im = sin_c * beat_cos + cos_c * beat_sin
-        v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
-        x = (mean_position(packet) + drift.sum() * times
-             + ((re / omega) @ sin_f + (im / omega) @ cos_f).ravel()[:samples]
-             - (beat_sin / omega).sum())
-        traces.append((x, v))
-    return times, traces
+        re = cos_c * beat_cos
+        re -= sin_c * beat_sin
+        im = sin_c * beat_cos
+        im += cos_c * beat_sin
+        if not x_traces:
+            v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
+        re /= omega
+        im /= omega
+        x_traces.append(mean_position(packet) + drift.sum() * times
+                        + (re @ sin_f + im @ cos_f).ravel()[:samples]
+                        - (beat_sin / omega).sum())
+    return times, x_traces, v
 
 
 def _fitted(times, values):
@@ -266,7 +273,7 @@ def _fitted(times, values):
 
 def mean_position_trace(packet, t_max, samples):
     """Sampled <x>(t) with its zitterbewegung fit."""
-    times, [(x_mean, _)] = _bloch_traces([packet], t_max, samples)
+    times, [x_mean], _ = _bloch_traces([packet], t_max, samples)
     return _fitted(times, x_mean)
 
 
@@ -274,9 +281,10 @@ def zbw_traces(packet, t_max, samples):
     """(<x>, <c sigma_x>, <x> of the positive branch) traces of one packet,
     each with its sinusoid fit; the velocity samples sit in `x_mean`. The
     projected branch shares the packet's k grid, so all three come from one
-    closed-form evaluation over the same rotation tables."""
+    closed-form evaluation over the same rotation tables; the branch's
+    velocity is not computed."""
     pure = project_branch(packet, +1)
-    times, [(x_mean, v), (pure_x, _)] = _bloch_traces([packet, pure], t_max, samples)
+    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples)
     return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)
 
 

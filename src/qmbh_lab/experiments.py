@@ -656,7 +656,7 @@ for _exp in [
                "vortex circulation quantization, continuity, Q constancy",
                # the outer loop reaches 50 sites from the centre; 2048^2
                # complex128 is 64 MiB per array, and a run's tracemalloc peak
-               # is 1.51 such arrays there (1.66 at 256, 2.08 at 128)
+               # is 1.02 such arrays there (1.28 at 256, 1.83 at 128)
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048)),
                 "profile_tol": Param(0.02, 0, 1, True)},
                _run_bohm_vortex),

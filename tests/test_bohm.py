@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,49 @@ def full_grid_vortex_stage(f, dx):
     return rows, np.abs(speed[sel] * r[sel] - 1.0)
 
 
+def four_outer_continuity_residual(n):
+    """Reference: `experiments._continuity_stage` with each of the four outer
+    products a grid of its own and the scale read from |g| grids."""
+    dx, dt, steps = 40.0 / n, 5e-4, 400
+    factors = []
+    for kc in (1.0, 0.5):
+        f = bohm.gaussian_factor(n, dx, sigma=1.5, k=kc)
+        minus, plus = (np.abs(bohm.evolve_factor(f, dx, dt, s)) ** 2
+                       for s in (steps - 1, steps + 1))
+        mid = bohm.evolve_factor(f, dx, dt, steps)
+        rho = np.abs(mid) ** 2
+        v = bohm._wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0]
+        factors.append((minus, rho, plus, bohm._rfft_derivative(rho * v, dx, 1)))
+    (am, a, ap, da), (bm, b, bp, db) = factors
+    rho_dot = (np.outer(ap, bp) - np.outer(am, bm)) / (2 * dt)
+    div = np.outer(da, b) + np.outer(a, db)
+    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
+    return float(np.sqrt(np.mean((rho_dot + div) ** 2))) / scale
+
+
+def full_grid_q_plus_v_std(n):
+    """Reference: `experiments._harmonic_stage` by np.std of the kept sites of
+    the full Q + V grid, selected by the full R grid."""
+    dx, thr = 16.0 / n, bohm.NODE_MASK_RELATIVE_THRESHOLD
+    r = np.abs(bohm.gaussian_factor(n, dx, sigma=math.sqrt(0.5)))
+    h = bohm._rfft_derivative(r, dx, 2) * -0.5 / np.where(r < thr * r.max(), 1.0, r)
+    h += bohm.centered_axis(n, dx) ** 2 / 2
+    R = np.outer(r, r)
+    return float(np.add.outer(h, h)[R >= thr * R.max()].std())
+
+
+def peak_complex_grids(stage, n):
+    """tracemalloc peak of stage(n), in complex128 n x n grids, after one
+    warm-up call (the FFT plan caches are not the stage's working set)."""
+    stage(n)
+    tracemalloc.start()
+    try:
+        stage(n)
+        return tracemalloc.get_traced_memory()[1] / (16 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
 class TestProductStates:
     """The product-state forms of the bohm-vortex stages against the 2-D
     reference paths they replace."""
@@ -484,6 +528,22 @@ class TestProductStates:
         std = experiments._harmonic_stage(n)
         assert abs(std - ref) <= 1e-5
         assert max(std, ref) < 1e-4
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_continuity_stage_same_bits_as_four_outer_products(self, n):
+        assert experiments._continuity_stage(n) == four_outer_continuity_residual(n)
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_harmonic_stage_same_bits_as_np_std(self, n):
+        assert experiments._harmonic_stage(n) == full_grid_q_plus_v_std(n)
+
+    def test_continuity_stage_working_set(self):
+        # two real n x n grids, and a block of rows of the last outer product
+        assert peak_complex_grids(experiments._continuity_stage, 512) <= 1.15
+
+    def test_harmonic_stage_working_set(self):
+        # one real Q + V grid, compacted to the kept sites, and the site mask
+        assert peak_complex_grids(experiments._harmonic_stage, 512) <= 1.05
 
     @pytest.mark.parametrize("n", GRIDS)
     def test_vortex_state_matches_meshgrid_form(self, n):

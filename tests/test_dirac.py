@@ -226,10 +226,13 @@ class TestClosedFormTraces:
     @pytest.mark.parametrize("kw", [
         dict(sigma_x=10.0, x0=0.0, p0=0.0, seed=(1, 1)),
         dict(sigma_x=2.0, x0=-2.0, p0=-0.4, seed=(1 - 0.5j, 0.2 + 1j)),
+        dict(sigma_x=10.0, x0=0.0, p0=10.0, seed=(1, 1)),
     ])
     def test_angle_addition_matches_direct_sum(self, kw, samples):
         # reference: the full (samples, n_k) phase matrix through np.sin/np.cos
-        # and mat-vecs; square, prime and ragged-last-block sample counts
+        # and mat-vecs; square, prime and ragged-last-block sample counts. The
+        # p0 = 0 grid holds 549 distinct 2E(k) in 1024 modes; no frequency
+        # repeats on the boosted one
         p = dirac.build_gaussian(**kw)
         t_max = 6 * 2 * math.pi / p.zbw_omega
         xtrace, vtrace, _ = dirac.zbw_traces(p, t_max, samples)
@@ -287,7 +290,22 @@ class TestClosedFormTraces:
         finally:
             tracemalloc.stop()
         assert xtrace.x_mean.shape == (100_000,)
-        assert peak < 32 * 2**20
+        assert peak < 20 * 2**20
+
+    def test_default_trace_working_set(self):
+        # tables of one column per distinct 2E(k), and no velocity trace for
+        # the projected branch; measured after one warm-up call, since the FFT
+        # and LAPACK caches are not the traces' working set
+        p = mixed_packet()
+        t_max = 6 * 2 * math.pi / p.zbw_omega
+        dirac.zbw_traces(p, t_max, 768)
+        tracemalloc.start()
+        try:
+            dirac.zbw_traces(p, t_max, 768)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 2**20
 
     @pytest.mark.parametrize("trace_fn", [dirac.mean_position_trace, dirac.zbw_traces])
     @pytest.mark.parametrize("t_max, samples, match", [
