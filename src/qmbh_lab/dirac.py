@@ -153,47 +153,58 @@ class ZbwTrace:
     fit: ZbwFit
 
 
-def _linear_sinusoid_solve(t, x, omega):
-    basis = np.stack([np.ones_like(t), t, np.sin(omega * t), np.cos(omega * t)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    return basis, coef, x - basis @ coef
+def _outside(y, columns):
+    """y less its projections on mutually orthogonal columns."""
+    for u in columns:
+        y = y - (u @ y / (u @ u)) * u
+    return y
+
+
+def _sinusoid_solve(t, x, omega):
+    """(v, B, C, residual, omega step) of the fit_trace model at omega."""
+    line = [np.ones_like(t), t - t.mean()]
+    sin, cos = np.sin(omega * t), np.cos(omega * t)
+    s, cos_out, r = (_outside(y, line) for y in (sin, cos, x))
+    c = _outside(cos_out, [s])
+    c_cos = c @ r / (c @ c)
+    b_sin = s @ (r - c_cos * cos_out) / (s @ s)
+    r -= b_sin * s + c_cos * cos_out
+    d = _outside(t * (b_sin * cos - c_cos * sin), line + [s, c])
+    dd, n = d @ d, t.size
+    step = 0.0 if dd <= (np.finfo(float).eps * n) ** 2 * (2 * n + t @ t) else d @ r / dd
+    v = line[1] @ (x - b_sin * sin - c_cos * cos) / (line[1] @ line[1])
+    return v, b_sin, c_cos, r, step
 
 
 def fit_trace(times, values, omega=None):
-    """Least-squares x(t) = x0 + v t + A sin(Omega t + phi).
-
-    With omega given the problem is linear; otherwise the frequency starts
-    from the periodogram peak of the detrended signal and is refined by
-    Gauss-Newton on omega alone (variable projection, Golub & Pereyra 1973):
-    each step refits the four linear coefficients, then adds the Jacobian
-    column t (B cos Omega t - C sin Omega t) for the omega step, B and C being
-    the sin and cos coefficients. It stops at a step of at most 1e-15 omega or
-    after 8 steps, and raises ValueError if omega leaves +-1.5 bins of the peak.
-    """
+    """Least-squares x(t) = x0 + v t + B sin(Omega t) + C cos(Omega t) in closed
+    form: Gram-Schmidt makes the columns orthogonal (Bjorck 1996), so each
+    coefficient is a ratio of dot products. Without omega, Omega starts from the
+    periodogram peak of the detrended signal and is refined by Gauss-Newton on omega
+    alone (variable projection, Golub & Pereyra 1973): each step refits B and C and
+    moves omega by (d.r)/(d.d), r the residual and d the Jacobian column t (B cos
+    Omega t - C sin Omega t) outside the four, or by 0 when |d| <= eps n times the
+    Frobenius norm of [1, t, sin, cos] (lstsq's rank rule). It stops after 8 steps
+    or a step <= 1e-15 omega, and raises ValueError past +-1.5 bins of the peak."""
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(values, dtype=np.float64)
     if omega is None:
-        lin = np.polyfit(t, x, 1)
-        detrended = x - np.polyval(lin, t)
-        spectrum = np.abs(np.fft.rfft(detrended))
+        spectrum = np.abs(np.fft.rfft(_outside(x, [np.ones_like(t), t - t.mean()])))
         freqs = 2 * np.pi * np.fft.rfftfreq(t.size, d=t[1] - t[0])
         peak = int(np.argmax(spectrum[1:])) + 1
         omega0 = omega = float(freqs[peak])
         width = freqs[1]
         lo, hi = max(omega0 - 1.5 * width, 0.25 * width), omega0 + 1.5 * width
         for _ in range(8):
-            basis, coef, resid = _linear_sinusoid_solve(t, x, omega)
-            d_omega = t * (coef[2] * basis[:, 3] - coef[3] * basis[:, 2])
-            jac = np.column_stack([basis, d_omega])
-            step = float(np.linalg.lstsq(jac, resid, rcond=None)[0][4])
+            step = float(_sinusoid_solve(t, x, omega)[4])
             omega += step
             if not lo <= omega <= hi:
                 raise ValueError(f"frequency fit left the bracket [{lo:.6g}, {hi:.6g}] "
                                  f"about the periodogram peak {omega0:.6g}")
             if abs(step) <= 1e-15 * omega:
                 break
-    _, coef, resid = _linear_sinusoid_solve(t, x, omega)
-    return ZbwFit(slope=float(coef[1]), amplitude=float(np.hypot(coef[2], coef[3])),
+    slope, b_sin, c_cos, resid, _ = _sinusoid_solve(t, x, omega)
+    return ZbwFit(slope=float(slope), amplitude=float(np.hypot(b_sin, c_cos)),
                   omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
@@ -211,10 +222,10 @@ def _rotation_table(times, omega):
     return table
 
 
-def _bloch_traces(packets, t_max, samples):
-    """(times, [<x> per packet], <sigma_x> of the first packet) in closed form,
-    for packets on one k grid. exp(-iHt) turns each mode's Bloch vector
-    s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
+def _bloch_traces(packets, t_max, samples, velocity=False):
+    """(times, [<x> per packet], <sigma_x> of the first packet or None without
+    `velocity`) in closed form, for packets on one k grid. exp(-iHt) turns
+    each mode's Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
     <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
     and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
 
@@ -244,7 +255,7 @@ def _bloch_traces(packets, t_max, samples):
     sin_c, cos_c = coarse.imag, coarse.real
     sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_w, b) operands
     del fine
-    x_traces = []
+    x_traces, v = [], None
     for packet in packets:
         a0, a1 = packet.a
         weight = packet.dk / packet.norm()
@@ -257,7 +268,7 @@ def _bloch_traces(packets, t_max, samples):
         re -= sin_c * beat_sin
         im = sin_c * beat_cos
         im += cos_c * beat_sin
-        if not x_traces:
+        if velocity and not x_traces:
             v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
         re /= omega
         im /= omega
@@ -284,7 +295,7 @@ def zbw_traces(packet, t_max, samples):
     closed-form evaluation over the same rotation tables; the branch's
     velocity is not computed."""
     pure = project_branch(packet, +1)
-    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples)
+    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples, True)
     return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)
 
 
@@ -303,9 +314,6 @@ def time_average(trace, T):
         raise ValueError("window must be shorter than a quarter of the trace")
     dt = float(t[1] - t[0])
     half = int(round(T / (2 * dt)))
-    if half == 0:
-        fit = fit_trace(t, trace.x_mean, omega=trace.fit.omega)
-        return ZbwTrace(times=t.copy(), x_mean=trace.x_mean.copy(), fit=fit)
     window = 2 * half + 1
     kernel = np.full(window, 1.0 / window)
     averaged = np.convolve(trace.x_mean, kernel, mode="valid")

@@ -103,9 +103,9 @@ def dispersion(spec, fit_window=0.1):
     The periodic chain is circulant, so its eigenvalue on mode k_j = 2 pi j / (N b)
     is the DFT of its first row at j (Gray, "Toeplitz and Circulant Matrices: A
     Review", 2006): fftshift puts them in `mode_wavenumbers` order with no dense
-    matrix, sort or assignment. E(k) is then fit quadratically over
-    |k b| <= fit_window and the curvature is converted to
-    m'_fit = hbar^2 / (d2E/dk2).
+    matrix, sort or assignment. The k^2 coefficient of the least-squares
+    quadratic over |k b| <= fit_window, in closed form the projection of E on the
+    part of k^2 outside 1 and k, gives the curvature mass m'_fit = hbar^2 / (d2E/dk2).
     """
     k = mode_wavenumbers(spec)
     row = np.zeros(spec.n_sites)
@@ -117,9 +117,10 @@ def dispersion(spec, fit_window=0.1):
     sel = np.abs(k * spec.b) <= fit_window
     if int(sel.sum()) < 5:
         raise ValueError("fit window contains fewer than 5 modes; enlarge the chain")
-    coeffs = np.polyfit(k[sel], energies[sel], 2)
-    curvature = 2 * coeffs[0]
-    m_prime_fit = 1 / curvature
+    ks, es = k[sel], energies[sel] - energies[sel].mean()
+    kc, q = ks - ks.mean(), ks * ks
+    q -= q.mean() + (kc @ q / (kc @ kc)) * kc
+    m_prime_fit = (q @ q) / (2 * (q @ es))
     return DispersionResult(k=k, energies=energies, m_prime_fit=m_prime_fit,
                             m_prime_formula=spec.m_prime())
 

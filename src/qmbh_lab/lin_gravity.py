@@ -16,7 +16,10 @@ Element sums are exact: each row of elements is put on one integer grid and
 accumulated without rounding, then rounded once, so every sum has the bits of
 math.fsum and does not depend on how the elements are ordered or split. A row
 outside that grid's range falls back to math.fsum. The distance sums take all
-probes of a source as rows of one array.
+probes of a source as rows of one array. The two fits, the trace potential's
+log-log slope and the Coulomb-plus-linear profile, are closed-form least-squares
+solves on exact integer sums, rounded once; their rank rule is exact, and fewer
+than 2 distinct radii, which make the normal equations singular, raise ValueError.
 """
 
 import math
@@ -117,6 +120,18 @@ def _exact_sums(a):
     return sums if a.ndim > 1 else sums[0]
 
 
+def _least_squares_pair(p, q, y):
+    """Least-squares (a, b) of y ~ a p + b q, each rounded once from the exact
+    solution: Cramer's rule on the 2x2 normal equations, with every element read
+    as a Python int times one 2**k so that the sums are exact integers."""
+    k = int(np.frexp(np.concatenate((p, q, y)))[1].min()) - 53
+    p, q, y = ([int(math.ldexp(v, -k)) for v in a.tolist()] for a in (p, q, y))
+    pp, pq, qq, py, qy = (sum(a * b for a, b in zip(u, v))
+                          for u, v in ((p, p), (p, q), (q, q), (p, y), (q, y)))
+    det = pp * qq - pq * pq
+    return (py * qq - pq * qy) / det, (pp * qy - pq * py) / det
+
+
 def mass_integral(s):
     """Element quadrature of the energy density: the total mass back, g."""
     return _exact_sums(s.masses)
@@ -196,11 +211,14 @@ def shell_trace_a0(s, r_values):
     Returns (A0 array, log-log slope, coefficient A0*r at the farthest probe).
     """
     r_values = np.asarray(r_values, dtype=np.float64)
+    log_r = np.log(r_values)
+    if log_r.min() == log_r.max():
+        raise ValueError(f"need at least 2 distinct radii; got {r_values.tolist()}")
     # stationary-rotation retardation shortcut: d/dt -> (1 + c) d/dtau on the
     # retarded kernel with |dT/dtau| = 2 omega T and element trace (c^2-1) G m_i
     factor = 2 * (1 + CGS.c) * 2 * s.omega * (CGS.c**2 - 1) * CGS.G
     a0 = factor * _inverse_distance_sums(s, r_values, np.zeros_like(r_values))
-    slope = float(np.polyfit(np.log(r_values), np.log(np.abs(a0)), 1)[0])
+    _, slope = _least_squares_pair(np.ones_like(log_r), log_r, np.log(np.abs(a0)))
     return a0, slope, float(a0[-1] * r_values[-1])
 
 
@@ -270,8 +288,8 @@ def confinement_expansion(s, mass, r_samples):
     the closed form 8 (M c^2 / hbar)^2.
     """
     r = np.asarray(r_samples, dtype=np.float64)
-    if r.size < 4:
-        raise ValueError("need at least 4 sample radii")
+    if r.size < 4 or r.min() == r.max():
+        raise ValueError(f"need at least 4 sample radii, 2 distinct; got {r.tolist()}")
     r_m = 1 / (2 * mass)
     if float(r.min()) < 0.1 * r_m or float(r.max()) > 10 * r_m:
         raise ValueError("samples must lie within [0.1, 10] x hbar/(2 M c)")
@@ -279,9 +297,7 @@ def confinement_expansion(s, mass, r_samples):
     if abs(s.omega / omega_nominal - 1) > 1e-6:
         raise ValueError("source rotation rate does not match the requested mass scale")
     h = confinement_profile(mass, r)
-    basis = np.stack([1.0 / r, r], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, h, rcond=None)
-    alpha_c, sigma_l = float(coef[0]), float(coef[1])
+    alpha_c, sigma_l = _least_squares_pair(1.0 / r, r, h)
     return ConfinementFit(alpha_c=alpha_c, sigma_l=sigma_l,
                           ratio=abs(sigma_l / alpha_c),
                           ratio_closed_form=8 * mass**2)

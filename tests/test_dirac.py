@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import dirac
 
@@ -43,6 +44,53 @@ def mixed_packet(sigma=10.0):
 def zbw_trace(packet, periods=6.0, samples=768):
     t_max = periods * 2 * math.pi / packet.zbw_omega
     return dirac.mean_position_trace(packet, t_max, samples)
+
+
+def lstsq_fit_trace(times, values, omega=None):
+    """Reference: the same fit through LAPACK's least-squares solver, the
+    form fit_trace had before its closed-form solve."""
+    t = np.asarray(times, dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
+
+    def solve(omega):
+        basis = np.stack([np.ones_like(t), t, np.sin(omega * t), np.cos(omega * t)], axis=1)
+        coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
+        return basis, coef, x - basis @ coef
+
+    if omega is None:
+        detrended = x - np.polyval(np.polyfit(t, x, 1), t)
+        spectrum = np.abs(np.fft.rfft(detrended))
+        freqs = 2 * np.pi * np.fft.rfftfreq(t.size, d=t[1] - t[0])
+        omega = float(freqs[int(np.argmax(spectrum[1:])) + 1])
+        for _ in range(8):
+            basis, coef, resid = solve(omega)
+            jac = np.column_stack([basis, t * (coef[2] * basis[:, 3] - coef[3] * basis[:, 2])])
+            step = float(np.linalg.lstsq(jac, resid, rcond=None)[0][4])
+            omega += step
+            if abs(step) <= 1e-15 * omega:
+                break
+    _, coef, resid = solve(omega)
+    return dirac.ZbwFit(slope=float(coef[1]), amplitude=float(np.hypot(coef[2], coef[3])),
+                        omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
+
+
+def extended_slope(t, x, omega):
+    """Reference: the least-squares slope at a fixed omega, solved in long
+    double (80-bit on x86-64) by eliminating 1, t - mean(t), sin and cos one
+    after the other from the normal equations."""
+    t, x = t.astype(np.longdouble), x.astype(np.longdouble)
+    cols = [np.ones_like(t), t - t.mean(), np.sin(omega * t), np.cos(omega * t)]
+    gram = np.array([[a @ b for b in cols] for a in cols])
+    rhs = np.array([a @ x for a in cols])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            f = gram[j, i] / gram[i, i]
+            gram[j] -= f * gram[i]
+            rhs[j] -= f * rhs[i]
+    coef = np.zeros(4, dtype=np.longdouble)
+    for i in reversed(range(4)):
+        coef[i] = (rhs[i] - gram[i, i + 1:] @ coef[i + 1:]) / gram[i, i]
+    return float(coef[1])
 
 
 class TestPacketConstruction:
@@ -212,6 +260,8 @@ class TestClosedFormTraces:
         t_max = 3 * 2 * math.pi / p.zbw_omega
         xtrace, vtrace, _ = dirac.zbw_traces(p, t_max, 64)
         assert np.array_equal(xtrace.x_mean, dirac.mean_position_trace(p, t_max, 64).x_mean)
+        # a lone packet's trace computes no velocity
+        assert dirac._bloch_traces([p], t_max, 64)[2] is None
         x_ref, v_ref = [], []
         for t in xtrace.times:
             moved = evolved(p, t)
@@ -365,6 +415,38 @@ class TestFitTrace:
         for factor in (1 - 1e-6, 1 + 1e-6):
             moved = dirac.fit_trace(trace.times, trace.x_mean, omega=fit.omega * factor)
             assert moved.rms_residual >= fit.rms_residual
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.floats(0.5, 5.0), st.floats(0.01, 2.0), st.floats(0.0, 2 * math.pi),
+           st.floats(-1.0, 1.0), st.floats(-0.1, 0.1))
+    def test_matches_lstsq_on_sinusoids(self, omega, amplitude, phase, x0, drift):
+        x = x0 + drift * self.t + amplitude * np.sin(omega * self.t + phase)
+        fit, ref = dirac.fit_trace(self.t, x), lstsq_fit_trace(self.t, x)
+        scale = np.abs(x).max()
+        assert fit.omega == pytest.approx(ref.omega, rel=1e-13, abs=0)
+        assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-13, abs=0)
+        # lstsq's own slope is off by up to 7e-15 max|x| from the extended
+        # precision solve on these draws; the closed form is within 1e-16
+        assert abs(fit.slope - ref.slope) <= 1e-14 * scale
+        assert abs(fit.slope - extended_slope(self.t, x, fit.omega)) <= 1e-15 * scale
+
+    def test_matches_lstsq_on_default_traces(self):
+        packet = mixed_packet()
+        t_max = 6 * 2 * math.pi / packet.zbw_omega
+        xtrace, vtrace, pure = dirac.zbw_traces(packet, t_max, 768)
+        averaged = dirac.time_average(xtrace, math.pi)
+        fits = [(tr.fit, lstsq_fit_trace(tr.times, tr.x_mean), tr)
+                for tr in (xtrace, vtrace, pure)]
+        fits.append((averaged.fit, lstsq_fit_trace(averaged.times, averaged.x_mean,
+                                                   xtrace.fit.omega), averaged))
+        for fit, ref, tr in fits:
+            assert fit.omega == pytest.approx(ref.omega, rel=1e-13, abs=0)
+            assert abs(fit.slope - ref.slope) <= 1e-15 * np.abs(tr.x_mean).max()
+            if tr is pure:
+                # a pure branch has no oscillation: both amplitudes are round-off
+                assert max(fit.amplitude, ref.amplitude) <= 1e-15
+            else:
+                assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-13, abs=0)
 
     def test_no_sinusoid(self):
         fit = dirac.fit_trace(self.t, 0.3 - 0.01 * self.t)

@@ -253,6 +253,26 @@ class TestRingModel:
         assert radius == pytest.approx(1.930796338621417e-11, rel=1e-12)
 
 
+class TestNoLapackLeastSquares:
+    def test_every_experiment_passes_without_lapack_solvers(self, tmp_path, monkeypatch):
+        # each fit is a closed-form solve; only emergent-mass's 16-site
+        # eigvalsh still calls LAPACK
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a LAPACK least-squares or solver call")
+
+        monkeypatch.setattr(np, "polyfit", forbidden)
+        for name in ("lstsq", "solve", "qr", "pinv", "inv", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        specs = [(exp_id, {}) for exp_id in experiments.EXPERIMENTS]
+        specs += [(exp_id, {"particle": p})
+                  for exp_id in ("shell-spin", "kn-fields", "kn-horizon", "ring-model")
+                  for p in experiments.MASSIVE]
+        for i, (exp_id, params) in enumerate(specs):
+            report = experiments.run(experiments.ExperimentSpec(exp_id, params,
+                                                                tmp_path / str(i)))
+            assert report.status == "pass", (exp_id, params, report.error)
+
+
 class TestRun:
     def test_constants_report_has_five_passing_claims(self, tmp_path):
         report = experiments.run(

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import hopping
 
@@ -20,7 +22,41 @@ def analytic_dispersion(spec, k):
     return spec.e0 - 2 * spec.a * np.cos(k * spec.b)
 
 
+def exact_curvature_mass(k, e):
+    """Oracle: hbar^2 over twice the k^2 coefficient of the least-squares
+    quadratic through (k, E), eliminated in rational arithmetic over the
+    float64 data."""
+    k, e = [Fraction(v) for v in k.tolist()], [Fraction(v) for v in e.tolist()]
+    cols = [[Fraction(1)] * len(k), k, [v * v for v in k]]
+    rows = [[sum(a * b for a, b in zip(u, v)) for v in cols + [e]] for u in cols]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            f = rows[j][i] / rows[i][i]
+            rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    return float(rows[2][2] / (2 * rows[2][3]))
+
+
 class TestDispersion:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(st.integers(128, 4096), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3),
+           st.floats(1e-3, 1e3))
+    def test_curvature_mass_is_exact_least_squares(self, n_sites, b, e0, a):
+        d = hopping.dispersion(hopping.ChainSpec(n_sites, b, e0, a))
+        sel = np.abs(d.k * b) <= 0.1
+        exact = exact_curvature_mass(d.k[sel], d.energies[sel])
+        assert d.m_prime_fit == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec", [(256, 0.3, 1.4, 0.7), (128, 0.5, 0.3, 1.1),
+                                      (4096, 2.0, -5.0, 3.0)])
+    def test_curvature_mass_matches_polyfit(self, spec):
+        # polyfit itself is off by up to 7e-8 relative where E0 dwarfs the
+        # band (|E0| = 1e3, A = 1e-3); these chains are well inside that
+        spec = hopping.ChainSpec(*spec)
+        d = hopping.dispersion(spec)
+        sel = np.abs(d.k * spec.b) <= 0.1
+        curvature = 2 * np.polyfit(d.k[sel], d.energies[sel], 2)[0]
+        assert d.m_prime_fit == pytest.approx(1 / curvature, rel=1e-12, abs=0)
+
     def test_effective_mass_formula_values(self):
         assert hopping.ChainSpec(64, 1.0, 2.0, 1.0).m_prime() == 0.5
         assert hopping.ChainSpec(64, 2.0, 2.0, 1.0).m_prime() == 0.125

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -166,7 +168,34 @@ class TestChargeEstimate:
         assert grow == pytest.approx(100.0, rel=1e-12)
 
 
+def exact_least_squares_pair(p, q, y):
+    """Oracle: the least-squares (a, b) of y ~ a p + b q in rational
+    arithmetic over the float64 data, by Cramer's rule, rounded once."""
+    p, q, y = ([Fraction(v) for v in a.tolist()] for a in (p, q, y))
+    pp, pq, qq, py, qy = (sum(a * b for a, b in zip(u, v))
+                          for u, v in ((p, p), (p, q), (q, q), (p, y), (q, y)))
+    det = pp * qq - pq * pq
+    return float((py * qq - pq * qy) / det), float((pp * qy - pq * py) / det)
+
+
 class TestShellTraceA0:
+    @pytest.mark.parametrize("particle", ["electron", "proton", "muon", "charm"])
+    @pytest.mark.parametrize("n", [13, 15, 17])
+    def test_slope_is_exact_least_squares_rounded_once(self, particle, n):
+        p = BUILTIN_PARTICLES[particle]
+        radius = lg.default_radius(p)
+        s = lg.ShellSource.ring(p.mass, radius, 1024, CGS.c)
+        r_values = np.geomspace(100 * radius, 1e4 * radius, n)
+        a0, slope, _ = lg.shell_trace_a0(s, r_values)
+        log_r = np.log(r_values)
+        _, exact = exact_least_squares_pair(np.ones_like(log_r), log_r, np.log(np.abs(a0)))
+        assert slope == exact
+
+    @pytest.mark.parametrize("r_values", [[3e-9], [2e-9] * 4])
+    def test_fewer_than_two_distinct_radii_rejected(self, r_values):
+        with pytest.raises(ValueError, match=re.escape(f"2 distinct radii; got {r_values}")):
+            lg.shell_trace_a0(electron_ring(), r_values)
+
     def test_inverse_distance_falloff(self):
         s = electron_ring()
         r_values = np.geomspace(100 * s.radius, 1e4 * s.radius, 15)
@@ -389,6 +418,22 @@ class TestConfinement:
         basis = np.stack([1.0 / self.samples, self.samples], axis=1)
         coef, *_ = np.linalg.lstsq(basis, h, rcond=None)
         assert abs(coef[1]) <= 1e-10 * abs(coef[0])
+
+    @pytest.mark.parametrize("mass", [0.065, 0.5, 1.8, 1.95])
+    def test_fit_is_exact_rational_solve(self, mass):
+        r_m = 1 / (2 * mass)
+        src = lg.ShellSource.ring(mass, r_m, 256, 1.0)
+        samples = np.geomspace(0.1 * r_m, 10 * r_m, 16)
+        fit = lg.confinement_expansion(src, mass, samples)
+        h = lg.confinement_profile(mass, samples)
+        alpha, sigma = exact_least_squares_pair(1.0 / samples, samples, h)
+        assert abs(fit.alpha_c - alpha) <= np.spacing(abs(alpha))
+        assert abs(fit.sigma_l - sigma) <= np.spacing(abs(sigma))
+
+    def test_equal_radii_rejected(self):
+        message = "2 distinct; got [0.25, 0.25, 0.25, 0.25]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lg.confinement_expansion(self.source, self.mass, np.full(4, 0.25))
 
     def test_sample_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
