@@ -153,59 +153,60 @@ class ZbwTrace:
     fit: ZbwFit
 
 
-def _outside(y, columns):
+def _coefficient(u, y, tol):
+    """u.y / u.u, or 0 for a column with u.u <= tol (lstsq's rank rule)."""
+    uu = u @ u
+    return u @ y / uu if uu > tol else 0.0
+
+
+def _outside(y, columns, tol):
     """y less its projections on mutually orthogonal columns."""
     for u in columns:
-        y = y - (u @ y / (u @ u)) * u
+        y = y - _coefficient(u, y, tol) * u
     return y
-
-
-def _sinusoid_solve(t, x, omega):
-    """(v, B, C, residual, omega step) of the fit_trace model at omega."""
-    line = [np.ones_like(t), t - t.mean()]
-    sin, cos = np.sin(omega * t), np.cos(omega * t)
-    s, cos_out, r = (_outside(y, line) for y in (sin, cos, x))
-    c = _outside(cos_out, [s])
-    c_cos = c @ r / (c @ c)
-    b_sin = s @ (r - c_cos * cos_out) / (s @ s)
-    r -= b_sin * s + c_cos * cos_out
-    d = _outside(t * (b_sin * cos - c_cos * sin), line + [s, c])
-    dd, n = d @ d, t.size
-    step = 0.0 if dd <= (np.finfo(float).eps * n) ** 2 * (2 * n + t @ t) else d @ r / dd
-    v = line[1] @ (x - b_sin * sin - c_cos * cos) / (line[1] @ line[1])
-    return v, b_sin, c_cos, r, step
 
 
 def fit_trace(times, values, omega=None):
     """Least-squares x(t) = x0 + v t + B sin(Omega t) + C cos(Omega t) in closed
-    form: Gram-Schmidt makes the columns orthogonal (Bjorck 1996), so each
-    coefficient is a ratio of dot products. Without omega, Omega starts from the
-    periodogram peak of the detrended signal and is refined by Gauss-Newton on omega
-    alone (variable projection, Golub & Pereyra 1973): each step refits B and C and
-    moves omega by (d.r)/(d.d), r the residual and d the Jacobian column t (B cos
-    Omega t - C sin Omega t) outside the four, or by 0 when |d| <= eps n times the
-    Frobenius norm of [1, t, sin, cos] (lstsq's rank rule). It stops after 8 steps
-    or a step <= 1e-15 omega, and raises ValueError past +-1.5 bins of the peak."""
+    form: Gram-Schmidt makes 1, t - mean(t), sin and cos orthogonal (Bjorck 1996),
+    so each coefficient is a ratio of dot products, and a column of norm <= eps n
+    |[1, t, sin, cos]|_F gets 0 (lstsq's rank rule). Without omega, Omega starts at
+    the detrended periodogram's peak; Gauss-Newton on omega alone (variable
+    projection, Golub & Pereyra 1973) refits B and C and steps by the coefficient of
+    t (B cos Omega t - C sin Omega t), made orthogonal to the four, on the residual.
+    It stops after 8 steps or a step <= 1e-15 omega, and raises ValueError past
+    +-1.5 bins of the peak."""
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(values, dtype=np.float64)
-    if omega is None:
-        spectrum = np.abs(np.fft.rfft(_outside(x, [np.ones_like(t), t - t.mean()])))
+    line = [np.ones_like(t), t - t.mean()]
+    tol = (np.finfo(float).eps * t.size) ** 2 * (2 * t.size + t @ t)
+    done = omega is not None
+    if not done:
+        spectrum = np.abs(np.fft.rfft(_outside(x, line, tol)))
         freqs = 2 * np.pi * np.fft.rfftfreq(t.size, d=t[1] - t[0])
         peak = int(np.argmax(spectrum[1:])) + 1
         omega0 = omega = float(freqs[peak])
         width = freqs[1]
         lo, hi = max(omega0 - 1.5 * width, 0.25 * width), omega0 + 1.5 * width
-        for _ in range(8):
-            step = float(_sinusoid_solve(t, x, omega)[4])
-            omega += step
-            if not lo <= omega <= hi:
-                raise ValueError(f"frequency fit left the bracket [{lo:.6g}, {hi:.6g}] "
-                                 f"about the periodogram peak {omega0:.6g}")
-            if abs(step) <= 1e-15 * omega:
-                break
-    slope, b_sin, c_cos, resid, _ = _sinusoid_solve(t, x, omega)
+    for i in range(9):
+        sin, cos = np.sin(omega * t), np.cos(omega * t)
+        s, cos_out, r = (_outside(y, line, tol) for y in (sin, cos, x))
+        c = _outside(cos_out, [s], tol)
+        c_cos = _coefficient(c, r, tol)
+        b_sin = _coefficient(s, r - c_cos * cos_out, tol)
+        r -= b_sin * s + c_cos * cos_out
+        if done or i == 8:
+            break
+        d = _outside(t * (b_sin * cos - c_cos * sin), line + [s, c], tol)
+        step = float(_coefficient(d, r, tol))
+        omega += step
+        if not lo <= omega <= hi:
+            raise ValueError(f"frequency fit left the bracket [{lo:.6g}, {hi:.6g}] "
+                             f"about the periodogram peak {omega0:.6g}")
+        done = abs(step) <= 1e-15 * omega
+    slope = _coefficient(line[1], x - b_sin * sin - c_cos * cos, tol)
     return ZbwFit(slope=float(slope), amplitude=float(np.hypot(b_sin, c_cos)),
-                  omega=float(omega), rms_residual=float(np.sqrt(np.mean(resid**2))))
+                  omega=float(omega), rms_residual=float(np.sqrt(np.mean(r**2))))
 
 
 def _rotation_table(times, omega):
@@ -222,10 +223,10 @@ def _rotation_table(times, omega):
     return table
 
 
-def _bloch_traces(packets, t_max, samples, velocity=False):
-    """(times, [<x> per packet], <sigma_x> of the first packet or None without
-    `velocity`) in closed form, for packets on one k grid. exp(-iHt) turns
-    each mode's Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
+def _bloch_traces(packets, t_max, samples):
+    """(times, [<x> per packet], <sigma_x> of the first packet) in closed form,
+    for packets on one k grid. exp(-iHt) turns each mode's Bloch vector
+    s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
     <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
     and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
 
@@ -255,7 +256,7 @@ def _bloch_traces(packets, t_max, samples, velocity=False):
     sin_c, cos_c = coarse.imag, coarse.real
     sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_w, b) operands
     del fine
-    x_traces, v = [], None
+    x_traces = []
     for packet in packets:
         a0, a1 = packet.a
         weight = packet.dk / packet.norm()
@@ -268,7 +269,7 @@ def _bloch_traces(packets, t_max, samples, velocity=False):
         re -= sin_c * beat_sin
         im = sin_c * beat_cos
         im += cos_c * beat_sin
-        if velocity and not x_traces:
+        if not x_traces:
             v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
         re /= omega
         im /= omega
@@ -295,7 +296,7 @@ def zbw_traces(packet, t_max, samples):
     closed-form evaluation over the same rotation tables; the branch's
     velocity is not computed."""
     pure = project_branch(packet, +1)
-    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples, True)
+    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples)
     return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)
 
 

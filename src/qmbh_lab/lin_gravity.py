@@ -16,10 +16,9 @@ Element sums are exact: each row of elements is put on one integer grid and
 accumulated without rounding, then rounded once, so every sum has the bits of
 math.fsum and does not depend on how the elements are ordered or split. A row
 outside that grid's range falls back to math.fsum. The distance sums take all
-probes of a source as rows of one array. The two fits, the trace potential's
-log-log slope and the Coulomb-plus-linear profile, are closed-form least-squares
-solves on exact integer sums, rounded once; their rank rule is exact, and fewer
-than 2 distinct radii, which make the normal equations singular, raise ValueError.
+probes of a source as rows of one array. The trace potential's log-log slope
+and the Coulomb-plus-linear fit are closed-form least-squares solves on exact
+integer sums, rounded once; the rank test is exact: < 2 distinct radii raise ValueError.
 """
 
 import math

@@ -260,8 +260,6 @@ class TestClosedFormTraces:
         t_max = 3 * 2 * math.pi / p.zbw_omega
         xtrace, vtrace, _ = dirac.zbw_traces(p, t_max, 64)
         assert np.array_equal(xtrace.x_mean, dirac.mean_position_trace(p, t_max, 64).x_mean)
-        # a lone packet's trace computes no velocity
-        assert dirac._bloch_traces([p], t_max, 64)[2] is None
         x_ref, v_ref = [], []
         for t in xtrace.times:
             moved = evolved(p, t)
@@ -447,6 +445,19 @@ class TestFitTrace:
                 assert max(fit.amplitude, ref.amplitude) <= 1e-15
             else:
                 assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n, span", [(64, 63.0), (768, 20.0), (768, 767.0)])
+    def test_matches_lstsq_at_nyquist(self, n, span):
+        # the periodogram peaks in the Nyquist bin, where sin(Omega t) is only
+        # round-off: lstsq's rank rule gives it coefficient 0, as must the closed form
+        t = np.linspace(0.0, span, n)
+        alt = (-1.0) ** np.arange(n)
+        noise = np.random.default_rng(n).standard_normal(n)
+        for x in (0.3 - 0.01 * t + 0.5 * alt, 1e-18 * noise + 1e-17 * alt):
+            fit, ref = dirac.fit_trace(t, x), lstsq_fit_trace(t, x)
+            assert fit.omega == ref.omega == pytest.approx(np.pi / (t[1] - t[0]), rel=1e-15)
+            assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-13, abs=0)
+            assert abs(fit.slope - ref.slope) <= 1e-15 * np.abs(x).max()
 
     def test_no_sinusoid(self):
         fit = dirac.fit_trace(self.t, 0.3 - 0.01 * self.t)
