@@ -82,6 +82,8 @@ class WaveGrid2D:
 def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
     """One axis's factor exp(-(x - center)^2/(4 sigma^2) + i k x) of a
     `gaussian_state`, on the n centred nodes of spacing dx; unnormalized."""
+    if not (0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     x = centered_axis(n, dx)
     return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
 

@@ -63,8 +63,8 @@ def build_gaussian(sigma_x, x0, p0, seed):
     The 1024-point grid covers p0 +- 8/sigma_x; the envelope at the edge is
     exp(-64) of the peak.
     """
-    if sigma_x <= 0:
-        raise ValueError("sigma_x must be positive")
+    if not (0 < sigma_x < math.inf):
+        raise ValueError(f"sigma_x must be positive and finite, got {sigma_x!r}")
     seed = np.asarray(seed, dtype=np.complex128).reshape(2)
     if np.all(seed == 0):
         raise ValueError("seed spinor must be nonzero")

@@ -364,10 +364,9 @@ def _run_emergent_mass(params):
     worst_rise = max((m0_seq[i + 1] - m0_seq[i] for i in range(len(m0_seq) - 1)),
                      default=0.0)
 
-    # k = 0 eigenvalue of the (circulant, so any-N) linearized Hamiltonian equals m0
-    h_lin = hopping.hamiltonian(hopping.ChainSpec(16, spec.b, 2 * spec.a, spec.a),
-                                constant_shift=em2.m0)
-    ground = float(np.linalg.eigvalsh(h_lin)[0])
+    # the lowest eigenvalue of the linearized chain, E0 = 2A plus m0 on the
+    # diagonal, is its k = 0 mode's m0
+    ground = float(hopping.spectrum(spec, constant_shift=em2.m0).min())
 
     claims = [
         RatioCheck.relative("whole-window-m0", em1.m0, 1.0, 1e-12),

@@ -12,11 +12,14 @@ self-interaction term
 iterated here to a fixed point. With E0 = 2A the linearized Hamiltonian is
 circulant, so its ground state is the uniform k = 0 mode for every m0 and
 the fixed point is m0 = mean(U) over the chain sites; the iteration runs as
-a scalar recursion with no matrix built. The composite rest mass is
-m = sqrt(m0 * m') / c. Everything runs in natural units hbar = c = 1.
+a scalar recursion with no matrix built. The emergent-mass experiment checks
+m0 as the minimum of the DFT `spectrum` of its own chain with m0 added to the
+diagonal. The composite rest mass is m = sqrt(m0 * m') / c. Everything runs
+in natural units hbar = c = 1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +37,12 @@ class ChainSpec:
     a: float
 
     def __post_init__(self):
-        if self.n_sites < 16:
-            raise ValueError("chain needs at least 16 sites")
-        if self.b <= 0 or self.a <= 0:
-            raise ValueError("b, A must be positive")
+        if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 16:
+            raise ValueError(f"n_sites must be an integer >= 16, got {self.n_sites!r}")
+        for name, lo in (("b", 0), ("a", 0), ("e0", -math.inf)):
+            value = getattr(self, name)
+            if not (lo < value < math.inf):
+                raise ValueError(f"{name} must be finite and > {lo}, got {value!r}")
 
     def coordinates(self):
         """Site positions centered on the chain, x_i = (i - n/2) b."""
@@ -67,22 +72,22 @@ class AmplitudeVector:
         return AmplitudeVector(self.values / norm)
 
 
-def hamiltonian(spec, constant_shift=0.0):
-    """Dense periodic chain Hamiltonian: E0 + shift on the diagonal, -A off it."""
-    n = spec.n_sites
-    h = np.zeros((n, n))
-    np.fill_diagonal(h, spec.e0 + constant_shift)
-    idx = np.arange(n)
-    h[idx, (idx + 1) % n] = -spec.a
-    h[idx, (idx - 1) % n] = -spec.a
-    return h
-
-
 def mode_wavenumbers(spec):
     """Allowed k = 2 pi j / (N b) for j in [-N/2, N/2)."""
     n = spec.n_sites
     j = np.arange(n) - n // 2
     return 2 * np.pi * j / (n * spec.b)
+
+
+def spectrum(spec, constant_shift=0.0):
+    """Eigenvalues of the periodic chain with E0 + shift on the diagonal and -A
+    off it, in `mode_wavenumbers` order: the chain is circulant, so they are the
+    DFT of its first row (Gray, "Toeplitz and Circulant Matrices: A Review",
+    2006), fftshifted, and real up to round-off since that row is symmetric.
+    """
+    row = np.zeros(spec.n_sites)
+    row[0], row[1], row[-1] = spec.e0 + constant_shift, -spec.a, -spec.a
+    return np.fft.fftshift(np.fft.fft(row)).real
 
 
 @dataclass(frozen=True)
@@ -98,22 +103,14 @@ class DispersionResult:
 
 
 def dispersion(spec, fit_window=0.1):
-    """Chain spectrum on its k modes, with a curvature-mass fit.
+    """Chain `spectrum` on its k modes, with a curvature-mass fit.
 
-    The periodic chain is circulant, so its eigenvalue on mode k_j = 2 pi j / (N b)
-    is the DFT of its first row at j (Gray, "Toeplitz and Circulant Matrices: A
-    Review", 2006): fftshift puts them in `mode_wavenumbers` order with no dense
-    matrix, sort or assignment. The k^2 coefficient of the least-squares
-    quadratic over |k b| <= fit_window, in closed form the projection of E on the
-    part of k^2 outside 1 and k, gives the curvature mass m'_fit = hbar^2 / (d2E/dk2).
+    The k^2 coefficient of the least-squares quadratic over |k b| <= fit_window,
+    in closed form the projection of E on the part of k^2 outside 1 and k, gives
+    the curvature mass m'_fit = hbar^2 / (d2E/dk2).
     """
     k = mode_wavenumbers(spec)
-    row = np.zeros(spec.n_sites)
-    row[0], row[1], row[-1] = spec.e0, -spec.a, -spec.a
-    spectrum = np.fft.fftshift(np.fft.fft(row))
-    # a symmetric first row has a real spectrum; the imaginary part is round-off
-    assert np.abs(spectrum.imag).max() <= 1e-12 * np.abs(spectrum).max()
-    energies = spectrum.real
+    energies = spectrum(spec)
     sel = np.abs(k * spec.b) <= fit_window
     if int(sel.sum()) < 5:
         raise ValueError("fit window contains fewer than 5 modes; enlarge the chain")

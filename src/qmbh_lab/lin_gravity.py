@@ -289,6 +289,8 @@ def confinement_expansion(s, mass, r_samples):
     r = np.asarray(r_samples, dtype=np.float64)
     if r.size < 4 or r.min() == r.max():
         raise ValueError(f"need at least 4 sample radii, 2 distinct; got {r.tolist()}")
+    if not (0 < mass < math.inf):
+        raise ValueError(f"mass must be positive and finite, got {mass!r}")
     r_m = 1 / (2 * mass)
     if float(r.min()) < 0.1 * r_m or float(r.max()) > 10 * r_m:
         raise ValueError("samples must lie within [0.1, 10] x hbar/(2 M c)")

@@ -253,24 +253,38 @@ class TestRingModel:
         assert radius == pytest.approx(1.930796338621417e-11, rel=1e-12)
 
 
-class TestNoLapackLeastSquares:
+class TestNoLapack:
     def test_every_experiment_passes_without_lapack_solvers(self, tmp_path, monkeypatch):
-        # each fit is a closed-form solve; only emergent-mass's 16-site
-        # eigvalsh still calls LAPACK
+        # each fit is a closed-form solve, and the chain spectrum is a DFT
         def forbidden(*args, **kwargs):
-            raise AssertionError("a LAPACK least-squares or solver call")
+            raise AssertionError("a LAPACK solver or eigensolver call")
 
         monkeypatch.setattr(np, "polyfit", forbidden)
-        for name in ("lstsq", "solve", "qr", "pinv", "inv", "svd"):
+        for name in ("lstsq", "solve", "qr", "pinv", "inv", "svd",
+                     "eigvalsh", "eigh", "eig", "eigvals", "cholesky", "det"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         specs = [(exp_id, {}) for exp_id in experiments.EXPERIMENTS]
         specs += [(exp_id, {"particle": p})
                   for exp_id in ("shell-spin", "kn-fields", "kn-horizon", "ring-model")
                   for p in experiments.MASSIVE]
+        specs += [("emergent-mass", {"sites": n}) for n in experiments.SITES]
         for i, (exp_id, params) in enumerate(specs):
             report = experiments.run(experiments.ExperimentSpec(exp_id, params,
                                                                 tmp_path / str(i)))
             assert report.status == "pass", (exp_id, params, report.error)
+
+
+class TestEmergentMass:
+    def test_zero_mode_claim_fails_without_the_shift(self, tmp_path, monkeypatch):
+        # a runner that drops m0 from the diagonal reads the free band's
+        # minimum, 0, and must fail the claim
+        spectrum = experiments.hopping.spectrum
+        monkeypatch.setattr(experiments.hopping, "spectrum",
+                            lambda spec, constant_shift=0.0: spectrum(spec))
+        report = experiments.run(experiments.ExperimentSpec("emergent-mass", {},
+                                                            tmp_path))
+        failed = [c.id for c in report.claims if not c.passed]
+        assert failed == ["zero-mode-eigenvalue"]
 
 
 class TestRun:

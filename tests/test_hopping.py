@@ -17,6 +17,17 @@ def whole_chain_kernel(spec):
     return hopping.NonlocalKernel((spec.n_sites // 2) * spec.b * 1.5, spec.b)
 
 
+def hamiltonian(spec, constant_shift=0.0):
+    """Oracle: the dense periodic chain, E0 + shift on the diagonal, -A off it."""
+    n = spec.n_sites
+    h = np.zeros((n, n))
+    np.fill_diagonal(h, spec.e0 + constant_shift)
+    idx = np.arange(n)
+    h[idx, (idx + 1) % n] = -spec.a
+    h[idx, (idx - 1) % n] = -spec.a
+    return h
+
+
 def analytic_dispersion(spec, k):
     """Oracle: the band E(k) = E0 - 2A cos(k b)."""
     return spec.e0 - 2 * spec.a * np.cos(k * spec.b)
@@ -76,11 +87,15 @@ class TestDispersion:
     def test_dft_spectrum_matches_dense_eigvalsh(self, n_sites):
         spec = hopping.ChainSpec(n_sites, 0.3, 1.4, 0.7)
         d = hopping.dispersion(spec)
-        dense = np.linalg.eigvalsh(hopping.hamiltonian(spec))
-        assert np.max(np.abs(np.sort(d.energies) - dense)) <= 1e-12
-        # each DFT eigenvalue sits on its own mode, with no reordering
-        analytic = analytic_dispersion(spec, d.k)
-        assert np.max(np.abs(d.energies - analytic)) <= 1e-12
+        assert np.array_equal(d.energies, hopping.spectrum(spec))
+        k = hopping.mode_wavenumbers(spec)
+        for shift in (0.0, 0.37, 0.7):
+            energies = hopping.spectrum(spec, constant_shift=shift)
+            dense = np.linalg.eigvalsh(hamiltonian(spec, constant_shift=shift))
+            assert np.max(np.abs(np.sort(energies) - dense)) <= 1e-12
+            # each DFT eigenvalue sits on its own mode, with no reordering
+            analytic = analytic_dispersion(spec, k) + shift
+            assert np.max(np.abs(energies - analytic)) <= 1e-12
 
     def test_symmetry_and_minimum(self):
         rng = np.random.default_rng(3)
@@ -112,7 +127,7 @@ class TestCirculantGroundState:
         # periodic chain plus a constant diagonal is circulant: the dense
         # eigensolver's lowest eigenvector is the k = 0 mode 1/sqrt(N b)
         spec = hopping.ChainSpec(n_sites, 0.25, 2 * 0.9, 0.9)
-        _, vecs = np.linalg.eigh(hopping.hamiltonian(spec, constant_shift=shift))
+        _, vecs = np.linalg.eigh(hamiltonian(spec, constant_shift=shift))
         g = hopping.AmplitudeVector(vecs[:, 0]).normalized(spec.b).values
         g = g * np.sign(g[0].real)
         uniform = 1 / math.sqrt(n_sites * spec.b)
@@ -138,8 +153,8 @@ class TestSelfConsistentMass:
 
     def test_constant_shift_commutes_with_spectrum(self):
         spec = hopping.ChainSpec(64, 0.5, 2 * 1.0, 1.0)
-        free = np.linalg.eigvalsh(hopping.hamiltonian(spec))
-        shifted = np.linalg.eigvalsh(hopping.hamiltonian(spec, constant_shift=1.0))
+        free = np.linalg.eigvalsh(hamiltonian(spec))
+        shifted = np.linalg.eigvalsh(hamiltonian(spec, constant_shift=1.0))
         assert np.max(np.abs(shifted - (free + 1.0))) <= 1e-12
 
     def test_windowed_fixed_point(self):
@@ -160,7 +175,7 @@ class TestSelfConsistentMass:
         kinetic = hopping.ChainSpec(spec.n_sites, spec.b, 2 * spec.a, spec.a)
 
         def window_integral(m0):
-            h = hopping.hamiltonian(kinetic, constant_shift=m0)
+            h = hamiltonian(kinetic, constant_shift=m0)
             _, vecs = np.linalg.eigh(h)
             g = vecs[:, 0]
             g = g / math.sqrt(float(np.sum(np.abs(g) ** 2)) * spec.b)
@@ -188,9 +203,11 @@ class TestSelfConsistentMass:
         half_extent = (spec.n_sites // 2) * spec.b
         kern = hopping.NonlocalKernel.for_chain(spec, half_extent / 2 - 8 * spec.b)
         em, _, _ = hopping.self_consistent_mass(spec, kern, gaussian_amplitudes(spec))
-        h = hopping.hamiltonian(hopping.ChainSpec(spec.n_sites, spec.b, 2 * spec.a,
-                                                  spec.a), constant_shift=em.m0)
+        kinetic = hopping.ChainSpec(spec.n_sites, spec.b, 2 * spec.a, spec.a)
+        h = hamiltonian(kinetic, constant_shift=em.m0)
         assert float(np.linalg.eigvalsh(h)[0]) == pytest.approx(em.m0, rel=1e-8)
+        lowest = float(hopping.spectrum(kinetic, constant_shift=em.m0).min())
+        assert lowest == pytest.approx(em.m0, rel=1e-13)
 
     def test_nonconvergence_flagged(self):
         spec = hopping.ChainSpec(256, 0.25, 1.8, 0.9)
