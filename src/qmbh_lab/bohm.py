@@ -62,8 +62,8 @@ class WaveGrid2D:
         if self.psi.ndim != 2 or self.psi.shape[0] != self.psi.shape[1]:
             raise ValueError("psi must be a square 2-D array")
         _check_power_of_two_size(self.psi.shape[0])
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not (0 < self.dx < math.inf):
+            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
         if not np.all(np.isfinite(self.psi.view(np.float64))):
             raise ValueError("psi contains NaN or Inf")
 
@@ -82,8 +82,9 @@ class WaveGrid2D:
 def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
     """One axis's factor exp(-(x - center)^2/(4 sigma^2) + i k x) of a
     `gaussian_state`, on the n centred nodes of spacing dx; unnormalized."""
-    if not (0 < sigma < math.inf):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    for name, value in (("dx", dx), ("sigma", sigma)):
+        if not (0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     x = centered_axis(n, dx)
     return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
 

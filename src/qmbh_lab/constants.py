@@ -38,8 +38,8 @@ class ParticleSpec:
     spin: float     # multiple of hbar: 0, 1/2, 1, ...
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be non-negative")
+        if not (0 <= self.mass < math.inf):
+            raise ValueError(f"mass must be non-negative and finite, got {self.mass!r}")
         if self.spin < 0 or round(2 * self.spin) != 2 * self.spin:
             raise ValueError("spin must be a non-negative multiple of 1/2")
 
@@ -188,24 +188,8 @@ def monopole_strength(n):
 
 
 def extreme_scales(p):
-    """Shortest time/length scales and the exact mc^2 / |p||a| identities.
-
-    Returns a dict with t = hbar/(m c^2), x = c t, momentum = m c, the
-    inferred proportionality constant y = momentum*c/m (== c^2 exactly),
-    and p_times_a = momentum * x (== hbar exactly).
-    """
+    """Shortest time and length scales and the Compton momentum: a dict with
+    t = hbar/(m c^2), x = c t and momentum = m c."""
     _require_massive(p)
-    c, hbar = CGS.c, CGS.hbar
-    t = hbar / (p.mass * c**2)
-    x = c * t
-    momentum = p.mass * c
-    y = momentum * c / p.mass
-    return {
-        "t": t,
-        "x": x,
-        "momentum": momentum,
-        "y": y,
-        "y_over_c2": y / c**2,
-        "p_times_a": momentum * x,
-        "p_times_a_over_hbar": momentum * x / hbar,
-    }
+    t = CGS.hbar / (p.mass * CGS.c**2)
+    return {"t": t, "x": CGS.c * t, "momentum": p.mass * CGS.c}

@@ -65,6 +65,9 @@ def build_gaussian(sigma_x, x0, p0, seed):
     """
     if not (0 < sigma_x < math.inf):
         raise ValueError(f"sigma_x must be positive and finite, got {sigma_x!r}")
+    for name, value in (("x0", x0), ("p0", p0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     seed = np.asarray(seed, dtype=np.complex128).reshape(2)
     if np.all(seed == 0):
         raise ValueError("seed spinor must be nonzero")

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import bohm, dirac, hopping, kerr_newman, lin_gravity
 from .constants import (BUILTIN_PARTICLES, CGS, RatioCheck, compton_wavelength,
-                        coupling_identities, extreme_scales, gravity_em_ratio,
-                        half_compton_wavelength, monopole_strength)
+                        coupling_identities, extreme_scales, half_compton_wavelength,
+                        monopole_strength)
 
 
 def fmt(x):
@@ -180,13 +180,11 @@ def resolve_parameters(exp, given):
 # runners: params -> (claims, {file name: (header, rows)})
 
 def _run_constants_report(params):
-    # the references 137.04, 135.7 and 4.17e42 are electron numbers
+    # the references 137.04 and 4.17e42 are electron numbers
     p = BUILTIN_PARTICLES["electron"]
-    claims = list(coupling_identities(p))
-    claims.append(RatioCheck.relative("charge-to-gravity-magnitude",
-                                      p.charge**2 / (CGS.G * p.mass**2),
-                                      4.17e42, 0.01))
-    claims.append(gravity_em_ratio(p))
+    claims = [coupling_identities(p)[0],
+              RatioCheck.relative("charge-to-gravity-magnitude",
+                                  p.charge**2 / (CGS.G * p.mass**2), 4.17e42, 0.01)]
 
     rows = [[c.id, c.computed, c.reference, c.tolerance_kind, c.tolerance,
              str(c.passed)] for c in claims]
@@ -201,8 +199,6 @@ def _run_constants_report(params):
         ["t_s", scales["t"]],
         ["x_cm", scales["x"]],
         ["momentum_g_cm_s", scales["momentum"]],
-        ["y_over_c2", scales["y_over_c2"]],
-        ["p_times_a_over_hbar", scales["p_times_a_over_hbar"]],
     ]
     return claims, {
         "ratios.csv": (["id", "computed", "reference", "tolerance_kind", "tolerance",
@@ -325,8 +321,13 @@ def _run_ring_model(params):
                                  rows)}
 
 
+# hopping-dispersion's chain: the curvature-mass fit is dimensionless, so b, E0
+# and A move its claims by round-off only; the site count does move them
+DISPERSION_B, DISPERSION_E0, DISPERSION_A = 0.3, 1.4, 0.7
+
+
 def _run_hopping_dispersion(params):
-    spec = hopping.ChainSpec(params["sites"], params["b"], params["e0"], params["a"])
+    spec = hopping.ChainSpec(params["sites"], DISPERSION_B, DISPERSION_E0, DISPERSION_A)
     disp = hopping.dispersion(spec)
     # E(k) vs E(-k) symmetry over the paired modes
     k = disp.k
@@ -345,45 +346,40 @@ def _run_hopping_dispersion(params):
                                        np.column_stack((disp.k, disp.energies)))}
 
 
-def _run_emergent_mass(params):
-    spec = hopping.ChainSpec(params["sites"], params["b"], 2 * params["a"], params["a"])
+# the mass experiments' chain, with E0 = 2A: m0 is a window average over the
+# sites, and m enters dispersion-vs-relativity's claim through p/m only, so b
+# and A move the claims and convergence.csv by round-off only
+MASS_B, MASS_A = 0.25, 0.9
+
+
+def _mass_chain(sites):
+    """The mass experiments' chain of `sites` sites and its start state, a
+    Gaussian 6 sites wide."""
+    spec = hopping.ChainSpec(sites, MASS_B, 2 * MASS_A, MASS_A)
     x = spec.coordinates()
-    sigma0 = 6 * spec.b
-    psi0 = hopping.AmplitudeVector(np.exp(-x**2 / (2 * sigma0**2)))
+    return spec, hopping.AmplitudeVector(np.exp(-x**2 / (2 * (6 * spec.b) ** 2)))
 
-    # whole-chain window: U == 1 at every site
-    whole = hopping.NonlocalKernel((spec.n_sites // 2) * spec.b * 1.5, spec.b)
-    em1, _, _ = hopping.self_consistent_mass(spec, whole, psi0)
 
+def _run_emergent_mass(params):
+    spec, psi0 = _mass_chain(params["sites"])
     # half-chain window
     half_extent = (spec.n_sites // 2) * spec.b
     kern = hopping.NonlocalKernel.for_chain(spec, half_extent / 2 - 8 * spec.b)
-    em2, _, hist2 = hopping.self_consistent_mass(spec, kern, psi0)
+    em, _, history = hopping.self_consistent_mass(spec, kern, psi0)
 
-    m0_seq = [h[1] for h in hist2]
+    m0_seq = [h[1] for h in history]
     worst_rise = max((m0_seq[i + 1] - m0_seq[i] for i in range(len(m0_seq) - 1)),
                      default=0.0)
-
-    # the lowest eigenvalue of the linearized chain, E0 = 2A plus m0 on the
-    # diagonal, is its k = 0 mode's m0
-    ground = float(hopping.spectrum(spec, constant_shift=em2.m0).min())
-
     claims = [
-        RatioCheck.relative("whole-window-m0", em1.m0, 1.0, 1e-12),
-        RatioCheck.relative("whole-window-iterations", float(em1.iterations), 1.0, 0.0),
-        RatioCheck.relative("windowed-converged", 1.0 if em2.converged else 0.0,
-                            1.0, 0.0),
-        RatioCheck.interval("windowed-m0-open-unit-interval", em2.m0, 1e-12, 1.0),
+        RatioCheck.interval("windowed-m0-open-unit-interval", em.m0, 1e-12, 1.0),
         RatioCheck.upper_bound("monotone-iterates", max(0.0, worst_rise), 1e-12),
-        RatioCheck.relative("zero-mode-eigenvalue", ground, em2.m0, 1e-8),
     ]
-    return claims, {"convergence.csv": (["iter", "m0", "delta"], hist2)}
+    return claims, {"convergence.csv": (["iter", "m0", "delta"], history)}
 
 
 def _run_dispersion_vs_relativity(params):
-    spec = hopping.ChainSpec(params["sites"], params["b"], 2 * params["a"], params["a"])
-    x = spec.coordinates()
-    psi0 = hopping.AmplitudeVector(np.exp(-x**2 / (2 * (6 * spec.b) ** 2)))
+    # whole-chain window: U == 1 at every site, so m0 = 1 at any chain size
+    spec, psi0 = _mass_chain(512)
     whole = hopping.NonlocalKernel((spec.n_sites // 2) * spec.b * 1.5, spec.b)
     em, _, _ = hopping.self_consistent_mass(spec, whole, psi0)
 
@@ -480,7 +476,6 @@ def _run_neg_energy_scan(params):
     pure = dirac.project_branch(packet, +1)
 
     claims = [
-        RatioCheck.relative("branch-weights-sum", w_minus[0] + w_plus[0], 1.0, 1e-12),
         RatioCheck.upper_bound("monotone-in-width",
                                max(0.0, max(rises)), 1e-15),
         RatioCheck.interval("compton-width-fraction", w_by_sigma[1.0], 1e-2, 1.0),
@@ -560,15 +555,14 @@ def _run_metric_slice(params):
     rows = []
     for lam_i in np.linspace(0.1, 1.0, 10):
         si = kerr_newman.metric_slice(a, m, m, a, math.pi / 2, float(lam_i))
-        rows.append([lam_i, si.dt2_coeff, si.dr2_coeff, si.doubling_factor])
+        rows.append([lam_i, si.dt2_coeff, si.dr2_coeff])
 
     claims = [
         RatioCheck.relative("corotating-dt2-coefficient", s.dt2_coeff, -0.5, 2e-6),
         RatioCheck.relative("corotating-dr2-coefficient", s.dr2_coeff, 0.5, 2e-6),
         RatioCheck.upper_bound("null-slice-dt2", abs(null.dt2_coeff), 1e-6),
     ]
-    return claims, {"slices.csv": (["lam", "dt2_coeff", "dr2_coeff", "doubling_factor"],
-                                   rows)}
+    return claims, {"slices.csv": (["lam", "dt2_coeff", "dr2_coeff"], rows)}
 
 
 def _run_shell_spin(params):
@@ -644,12 +638,12 @@ def _run_charge_confinement(params):
 MASSIVE = tuple(name for name, p in BUILTIN_PARTICLES.items() if p.mass > 0)
 PARTICLE = Param("electron", choices=MASSIVE)
 # hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
-SITES, LENGTH, ELEMENTS = (128, 4096), (1e-3, 1e3), (16, 1 << 14)
+SITES, ELEMENTS = (128, 4096), (16, 1 << 14)
 
 EXPERIMENTS = {}
 for _exp in [
     Experiment("constants-report",
-               "coupling, charge-gravity, and shell-identity ratio checks",
+               "coupling and charge-gravity ratio checks",
                {}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
@@ -662,19 +656,14 @@ for _exp in [
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",
                {"particle": PARTICLE}, _run_ring_model),
     Experiment("hopping-dispersion", "chain spectrum and curvature mass fit",
-               {"sites": Param(256, *SITES), "b": Param(0.3, *LENGTH),
-                "e0": Param(1.4, -1e3, 1e3), "a": Param(0.7, *LENGTH)},
-               _run_hopping_dispersion),
+               {"sites": Param(256, *SITES)}, _run_hopping_dispersion),
     Experiment("emergent-mass", "self-consistent window mass fixed point",
-               {"sites": Param(512, *SITES), "b": Param(0.25, *LENGTH),
-                "a": Param(0.9, *LENGTH)}, _run_emergent_mass),
+               {"sites": Param(512, *SITES)}, _run_emergent_mass),
     Experiment("dispersion-vs-relativity",
                "quadratic-plus-rest spectrum against the relativistic energy",
-               {"sites": Param(512, *SITES), "b": Param(0.25, *LENGTH),
-                # dispersion-vs-relativity's bound (p_max_frac)^4 / 8 is the
-                # next Taylor order, a small-p expansion
-                "a": Param(0.9, *LENGTH), "p_max_frac": Param(0.1, 0, 0.1, True)},
-               _run_dispersion_vs_relativity),
+               # dispersion-vs-relativity's bound (p_max_frac)^4 / 8 is the
+               # next Taylor order, a small-p expansion
+               {"p_max_frac": Param(0.1, 0, 0.1, True)}, _run_dispersion_vs_relativity),
     Experiment("zbw", "zitterbewegung frequency, amplitude, and averaging",
                # time_average's window, one zbw period, is under a quarter of
                # the trace only for periods > 4

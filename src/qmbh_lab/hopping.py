@@ -12,10 +12,8 @@ self-interaction term
 iterated here to a fixed point. With E0 = 2A the linearized Hamiltonian is
 circulant, so its ground state is the uniform k = 0 mode for every m0 and
 the fixed point is m0 = mean(U) over the chain sites; the iteration runs as
-a scalar recursion with no matrix built. The emergent-mass experiment checks
-m0 as the minimum of the DFT `spectrum` of its own chain with m0 added to the
-diagonal. The composite rest mass is m = sqrt(m0 * m') / c. Everything runs
-in natural units hbar = c = 1.
+a scalar recursion with no matrix built. The composite rest mass is
+m = sqrt(m0 * m') / c. Everything runs in natural units hbar = c = 1.
 """
 
 import math
@@ -79,14 +77,14 @@ def mode_wavenumbers(spec):
     return 2 * np.pi * j / (n * spec.b)
 
 
-def spectrum(spec, constant_shift=0.0):
-    """Eigenvalues of the periodic chain with E0 + shift on the diagonal and -A
-    off it, in `mode_wavenumbers` order: the chain is circulant, so they are the
+def spectrum(spec):
+    """Eigenvalues of the periodic chain with E0 on the diagonal and -A off
+    it, in `mode_wavenumbers` order: the chain is circulant, so they are the
     DFT of its first row (Gray, "Toeplitz and Circulant Matrices: A Review",
     2006), fftshifted, and real up to round-off since that row is symmetric.
     """
     row = np.zeros(spec.n_sites)
-    row[0], row[1], row[-1] = spec.e0 + constant_shift, -spec.a, -spec.a
+    row[0], row[1], row[-1] = spec.e0, -spec.a, -spec.a
     return np.fft.fftshift(np.fft.fft(row)).real
 
 
@@ -130,8 +128,10 @@ class NonlocalKernel:
     w: float
 
     def __post_init__(self):
-        if self.r_w <= 0 or self.w <= 0:
-            raise ValueError("window radius and falloff width must be positive")
+        for name in ("r_w", "w"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
 
     def u(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -35,8 +35,8 @@ class KNParams:
     angular_momentum: float
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not (0 < self.mass < math.inf):
+            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
 
     @property
     def m_star(self):
@@ -156,8 +156,8 @@ def metric_slice(a, m, e, r, theta, lam):
     ratio of the luminal azimuthal rate (a dphi'/dt = 1) to lam: 1/lam,
     equal to 2 on the lam = 1/2 slice.
     """
-    if a <= 0:
-        raise ValueError("spin length a must be positive")
+    if not (0 < a < math.inf):
+        raise ValueError(f"a must be a positive and finite spin length, got {a!r}")
     if lam == 0:
         raise ValueError("lam must be nonzero")
     delta = r * r - 2 * m * r + a * a + m * m + e * e

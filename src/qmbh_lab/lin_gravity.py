@@ -51,10 +51,17 @@ class ShellSource:
         """Rotation rate c / R (equals 2 m c^2 / hbar at the default radius)."""
         return self.speed / self.radius
 
+    @staticmethod
+    def _check(mass, radius, n_elements, speed, least):
+        if n_elements < least:
+            raise ValueError(f"n_elements must be >= {least}, got {n_elements!r}")
+        for name, value in (("mass", mass), ("radius", radius), ("speed", speed)):
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
     @classmethod
     def ring(cls, mass, radius, n_elements, speed):
-        if n_elements < 3 or mass <= 0 or radius <= 0 or speed <= 0:
-            raise ValueError("need n >= 3 elements and positive mass, radius, speed")
+        cls._check(mass, radius, n_elements, speed, 3)
         ang = 2 * math.pi * np.arange(n_elements) / n_elements
         pos = np.stack([radius * np.cos(ang), radius * np.sin(ang),
                         np.zeros(n_elements)], axis=1)
@@ -64,8 +71,7 @@ class ShellSource:
     @classmethod
     def sphere(cls, mass, radius, n_elements, speed):
         """Fibonacci shell: midpoint-uniform in cos(theta), golden-angle azimuths."""
-        if n_elements < 16 or mass <= 0 or radius <= 0 or speed <= 0:
-            raise ValueError("need n >= 16 elements and positive mass, radius, speed")
+        cls._check(mass, radius, n_elements, speed, 16)
         i = np.arange(n_elements)
         z = 1.0 - (2.0 * i + 1.0) / n_elements
         s = np.sqrt(1.0 - z**2)

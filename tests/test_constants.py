@@ -142,14 +142,6 @@ class TestExtremeScales:
         assert s["x"] == pytest.approx(ELECTRON_COMPTON, rel=1e-12)
         assert s["momentum"] == pytest.approx(ELECTRON.mass * CGS.c, rel=1e-15)
 
-    def test_identities(self):
-        rng = np.random.default_rng(11)
-        masses = [ELECTRON.mass] + list(np.exp(rng.uniform(-60, 5, 50)))
-        for m in masses:
-            s = extreme_scales(ParticleSpec("x", float(m), 1.0, 0.0))
-            assert abs(s["y_over_c2"] - 1.0) <= 1e-15
-            assert abs(s["p_times_a_over_hbar"] - 1.0) <= 1e-15
-
 
 class TestRatioCheck:
     def test_relative_semantics(self):

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qmbh_lab import bohm, dirac, hopping, lin_gravity
+from qmbh_lab import bohm, dirac, hopping, kerr_newman, lin_gravity
+from qmbh_lab.constants import ParticleSpec
 
 NAN, INF = math.nan, math.inf
 
@@ -37,6 +38,19 @@ CASES = [
     ("sigma", lambda: bohm.gaussian_state(64, 0.1, sigma=INF)),
     ("mass", lambda: confinement(0.0)),
     ("mass", lambda: confinement(NAN)),
+    ("r_w", lambda: hopping.NonlocalKernel(NAN, 1.0)),
+    ("w", lambda: hopping.NonlocalKernel(1.0, INF)),
+    ("mass", lambda: lin_gravity.ShellSource.ring(NAN, 1.0, 16, 1.0)),
+    ("speed", lambda: lin_gravity.ShellSource.ring(1.0, 1.0, 16, INF)),
+    ("radius", lambda: lin_gravity.ShellSource.sphere(1.0, NAN, 16, 1.0)),
+    ("dx", lambda: bohm.gaussian_state(64, 0.0, sigma=1.0)),
+    ("dx", lambda: bohm.gaussian_state(64, NAN, sigma=1.0)),
+    ("dx", lambda: bohm.WaveGrid2D(np.ones((64, 64)), NAN)),
+    ("x0", lambda: dirac.build_gaussian(1.0, x0=NAN, p0=0.0, seed=(1, 0))),
+    ("p0", lambda: dirac.build_gaussian(1.0, x0=0.0, p0=INF, seed=(1, 0))),
+    ("mass", lambda: kerr_newman.KNParams(NAN, 1.0, 1.0)),
+    ("a", lambda: kerr_newman.metric_slice(NAN, 0.0, 0.0, 1.0, math.pi / 2, 0.5)),
+    ("mass", lambda: ParticleSpec("x", NAN, 0.0, 0.5)),
 ]
 
 
