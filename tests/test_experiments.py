@@ -53,10 +53,24 @@ DEFAULT_CLAIM_IDS = {
                            "confinement-coefficient-ratio", "confinement-ratio-scale"],
 }
 
+# every settable parameter, as "experiment.param" in registry order
+SETTABLE_PARAMETERS = [
+    "bohm-vortex.grid", "ring-model.particle", "hopping-dispersion.sites",
+    "emergent-mass.sites", "dispersion-vs-relativity.p_max_frac", "zbw.sigma",
+    "zbw.periods", "zbw.samples", "zbw.omega_tol", "kn-horizon.particle",
+    "kn-fields.particle", "kn-fields.r", "shell-spin.particle",
+    "shell-spin.sphere_elements", "charge-confinement.quark_mass_gev",
+]
+
 
 class TestRegistry:
     def test_registered_ids(self):
         assert list(experiments.EXPERIMENTS) == REGISTERED_IDS
+
+    def test_settable_parameters(self):
+        # a parameter added or dropped by accident shows here by name
+        assert [f"{exp.id}.{key}" for exp in experiments.EXPERIMENTS.values()
+                for key in exp.params] == SETTABLE_PARAMETERS
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment id"):
@@ -99,25 +113,6 @@ class TestRegistry:
             experiments.EXPERIMENTS["hopping-dispersion"], {"sites": 128.0})
         assert params["sites"] == 128 and type(params["sites"]) is int
 
-    @pytest.mark.parametrize("widths", [
-        "1:2",            # no 100
-        "0.5:2:100",      # no 1
-        "1:100:5",        # not increasing
-        "1:1:100",        # repeated entry
-        "-1:1:100",       # non-positive
-        "1:nan:100",      # non-finite
-        "1:inf:100",
-        "1:wide:100",
-    ])
-    def test_scan_widths_rejected(self, tmp_path, widths):
-        report = experiments.run(experiments.ExperimentSpec(
-            "neg-energy-scan", {"widths": widths}, tmp_path))
-        assert report.status == "fail"
-        assert report.claims == []
-        assert report.error.startswith("neg-energy-scan: ValueError:")
-        assert "'widths'" in report.error
-        assert not (tmp_path / "neg_energy.csv").exists()
-
     @pytest.mark.parametrize("key, raw", [
         ("sigma", "0"),
         ("sigma", "-1"),
@@ -128,8 +123,6 @@ class TestRegistry:
         ("samples", "15"),
         ("omega_tol", "0"),
         ("omega_tol", "-1"),
-        ("suppress_factor", "0"),
-        ("suppress_factor", "-2"),
     ])
     def test_zbw_domain_rejected(self, tmp_path, key, raw):
         report = experiments.run(experiments.ExperimentSpec("zbw", {key: raw},
@@ -183,7 +176,6 @@ class TestRegistry:
         ("charge-confinement", "quark_mass_gev", "0.06"),
         ("charge-confinement", "quark_mass_gev", "2.0"),
         ("kn-fields", "r", "0"),
-        ("shell-spin", "ring_elements", "2"),
     ] + [(exp_id, "particle", "neutrino") for exp_id in [
         "ring-model", "kn-horizon", "kn-fields", "shell-spin"]])
     def test_value_outside_domain_rejected(self, tmp_path, exp_id, key, raw):
@@ -197,17 +189,16 @@ class TestRegistry:
     def test_defaults_lie_in_their_domains(self, exp_id):
         exp = experiments.EXPERIMENTS[exp_id]
         for key, p in exp.params.items():
-            if p.choices is None and p.lo is None:
-                experiments._scan_widths(p.default)
-            else:
-                assert p.contains(p.default), key
+            assert p.contains(p.default), key
         assert experiments.resolve_parameters(exp, {}) == {
             key: p.default for key, p in exp.params.items()}
 
     # constants, not parameters: metric-slice's references hold on its one
-    # slice only, two experiments compare with electron numbers, and the
-    # chain's spacing, diagonal and hopping set only the units of the mass
-    # experiments' dimensionless claims
+    # slice only, two experiments compare with electron numbers, the chain's
+    # spacing, diagonal and hopping set only the units of the mass
+    # experiments' dimensionless claims, the luminal ring's element sums are
+    # exact, the scan's widths other than 1 and 100 set only table rows, and
+    # two bounds are written at their claims
     @pytest.mark.parametrize("exp_id, key, raw", [
         ("metric-slice", "a", "-1"), ("metric-slice", "eps", "-1"),
         ("metric-slice", "lam", "0"), ("metric-slice", "lam", "0.5"),
@@ -217,6 +208,10 @@ class TestRegistry:
         ("dispersion-vs-relativity", "sites", "512"),
         ("dispersion-vs-relativity", "b", "0.25"),
         ("dispersion-vs-relativity", "a", "0.9"),
+        ("shell-spin", "ring_elements", "1024"),
+        ("charge-confinement", "elements", "1024"),
+        ("neg-energy-scan", "widths", "0.5:1:2:5:10:100"),
+        ("bohm-vortex", "profile_tol", "0.02"), ("zbw", "suppress_factor", "10"),
         *[(exp_id, "particle", name) for exp_id in ["constants-report",
                                                     "charge-confinement"]
           for name in ["neutrino", "proton", "electron"]]])
@@ -352,13 +347,30 @@ class TestRun:
         assert report.tables == []
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
-    def test_rerun_clears_previous_tables(self, tmp_path):
+    def test_rerun_clears_previous_tables(self, tmp_path, monkeypatch):
         first = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
         assert first.status == "pass" and len(first.tables) == 3
-        second = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4"},
-                                                            tmp_path))
-        assert second.error.startswith("zbw: ValueError: parameter 'periods'")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("averaging failed")
+
+        monkeypatch.setattr(experiments.dirac, "time_average", fail)
+        second = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
+        assert second.error == "zbw: RuntimeError: averaging failed"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    # zbw's rule and an unknown name; a value outside its domain goes
+    # through TestRunAll::test_rejected_value_leaves_previous_output
+    @pytest.mark.parametrize("params", [{"periods": "16", "samples": "319"},
+                                        {"sigmaa": "5"}])
+    def test_rejected_value_keeps_previous_output(self, tmp_path, params):
+        experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 4
+        report = experiments.run(experiments.ExperimentSpec("zbw", params, tmp_path))
+        assert report.status == "fail" and report.claims == []
+        assert report.error.startswith("zbw: ValueError:")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_clear_deletes_only_listed_regular_files(self, tmp_path):
         outdir = tmp_path / "exp"
@@ -371,11 +383,10 @@ class TestRun:
                   "report.json", "..", "", 7]
         (outdir / "report.json").write_text(json.dumps({"tables": listed}),
                                             encoding="utf-8")
-        report = experiments.run(experiments.ExperimentSpec(
-            "kn-fields", {"r": "inf"}, outdir))
-        assert report.status == "fail"
+        report = experiments.run(experiments.ExperimentSpec("kn-fields", {}, outdir))
+        assert report.status == "pass"
         assert sorted(p.name for p in outdir.iterdir()) == [
-            "link.csv", "report.json", "sub", "unlisted.csv"]
+            "far_fields.csv", "link.csv", "report.json", "sub", "unlisted.csv"]
         assert (outdir / "link.csv").is_symlink()
         assert (outdir / "sub" / "inner.csv").exists()
         assert (tmp_path / "outside.csv").exists()
@@ -384,9 +395,9 @@ class TestRun:
     def test_unreadable_previous_report_is_ignored(self, tmp_path, text):
         (tmp_path / "report.json").write_text(text, encoding="utf-8")
         (tmp_path / "a").write_text("x\n", encoding="utf-8")
-        experiments.run(experiments.ExperimentSpec("kn-fields", {"r": "inf"},
-                                                   tmp_path))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "report.json"]
+        experiments.run(experiments.ExperimentSpec("kn-fields", {}, tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a", "far_fields.csv", "report.json"]
 
     def test_report_round_trip(self, tmp_path):
         report = experiments.run(
@@ -421,8 +432,6 @@ class TestBohmVortex:
         ("grid", "64"),
         ("grid", "200"),
         ("grid", "4096"),
-        ("profile_tol", "0"),
-        ("profile_tol", "-1"),
     ])
     def test_domain_rejected(self, tmp_path, key, raw):
         with warnings.catch_warnings(record=True) as caught:
@@ -485,16 +494,14 @@ class TestNegEnergyScan:
         return [s.w_minus for s in splits], [s.w_plus for s in splits]
 
     def test_default_widths_match_per_width_packets(self):
-        widths = experiments._scan_widths(
-            experiments.EXPERIMENTS["neg-energy-scan"].params["widths"].default)
-        w_minus, w_plus = experiments._branch_weights(widths)
-        assert (w_minus.tolist(), w_plus.tolist()) == self.per_width(widths)
+        w_minus, w_plus = experiments._branch_weights(experiments.SCAN_WIDTHS)
+        assert (w_minus.tolist(), w_plus.tolist()) == self.per_width(
+            experiments.SCAN_WIDTHS)
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(st.lists(st.floats(0.01, 1e4), max_size=62))
     def test_width_lists_match_per_width_packets(self, drawn):
         widths = sorted(set(drawn) | {1.0, 100.0})
-        assert experiments._scan_widths(":".join(map(repr, widths))) == widths
         w_minus, w_plus = experiments._branch_weights(widths)
         assert (w_minus.tolist(), w_plus.tolist()) == self.per_width(widths)
 
@@ -519,6 +526,17 @@ class TestRunAll:
         assert by_id["zbw"].status == "fail"
         assert by_id["zbw"].error == ""  # a failed claim, not an error
         assert by_id["kn-horizon"].status == "pass"
+
+    def test_rejected_value_leaves_previous_output(self, tmp_path):
+        # through the Python API too: a value outside its domain is recorded
+        # as a failure and the previous run's files stay as they were
+        experiments.run_all(tmp_path, only=["zbw"])
+        before = {p.name: p.read_bytes() for p in (tmp_path / "zbw").iterdir()}
+        reports, failures = experiments.run_all(tmp_path, overrides={"zbw.sigma": "0"},
+                                                only=["zbw"])
+        assert failures == 1
+        assert reports[0].error.startswith("zbw: ValueError: parameter 'sigma'")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "zbw").iterdir()} == before
 
     @pytest.mark.parametrize("key", ["zbx.sigma", "zbw.", ".sigma", "zbw", "zbw.sigmaa"])
     def test_unregistered_override_rejected(self, tmp_path, key):
@@ -698,12 +716,14 @@ class TestCli:
         assert message in result.output
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("exp_id, key, raw", [("metric-slice", "lam", "0.5"),
-                                                  ("constants-report", "particle",
-                                                   "electron"),
-                                                  ("hopping-dispersion", "e0", "1.4"),
-                                                  ("dispersion-vs-relativity",
-                                                   "sites", "512")])
+    @pytest.mark.parametrize("exp_id, key, raw", [
+        ("metric-slice", "lam", "0.5"), ("constants-report", "particle", "electron"),
+        ("hopping-dispersion", "e0", "1.4"),
+        ("dispersion-vs-relativity", "sites", "512"),
+        ("shell-spin", "ring_elements", "1024"),
+        ("charge-confinement", "elements", "1024"),
+        ("neg-energy-scan", "widths", "0.5:1:2:5:10:100"),
+        ("bohm-vortex", "profile_tol", "0.02"), ("zbw", "suppress_factor", "10")])
     def test_constant_is_usage_error(self, tmp_path, exp_id, key, raw):
         out = tmp_path / "o"
         result = CliRunner().invoke(
