@@ -1,16 +1,15 @@
 """Experiment registry, batch execution, and machine-readable reporting.
 
 Every experiment is a pure function of its parameters: its runner returns
-RatioCheck claims and its files as data (CSV tables with one header row and
-floats at 17 significant digits) and touches no file. `run`
-checks the parameters first: a rejected value leaves a directory that already
-holds a report.json as it is. Otherwise `run` makes the experiment's
-directory, or, if it is already there, deletes the tables that its previous
-report.json lists. Once the runner has returned it writes the new files, each
-formatted once to bytes and written to a temporary file that is then renamed
-over the final name, then the report record, so a failed experiment leaves
-only report.json. report.json is compact JSON with each claim on a line of
-its own.
+RatioCheck claims and its tables as data and touches no file. `run` resolves
+the parameters, runs the runner and formats every table to text (one header
+row, floats at 17 significant digits) before it touches the disk. A failure
+at any of these steps leaves a directory that already holds a report.json as
+it is and puts only report.json into any other. Otherwise `run` makes the
+directory, deletes the tables that its previous report.json lists, writes
+each table to a temporary file that is then renamed over the final name, and
+writes report.json last. report.json is compact JSON with each claim on a
+line of its own.
 Running the same configuration twice must produce byte-identical tables.
 """
 
@@ -47,28 +46,28 @@ def atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def write_table(path, header, rows):
-    """One header line, then one line per row. An all-numeric 2-D array is
-    formatted in one `%` call over its values, with the bytes of `fmt`; other
-    rows go cell by cell. A row whose width is not the header's raises
-    ValueError."""
+def format_table(name, header, rows):
+    """Table `name` as text: one header line, then one line per row. An
+    all-numeric 2-D array is formatted in one `%` call over its values, with
+    the bytes of `fmt`; other rows go cell by cell. A row whose width is not
+    the header's raises ValueError."""
     width = len(header)
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "fiu":
         if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"table {os.path.basename(path)}: rows of shape "
-                             f"{rows.shape} under {width} header columns")
+            raise ValueError(f"table {name}: rows of shape {rows.shape} under "
+                             f"{width} header columns")
         body = ((",".join(["%.17g"] * width) + "\n") * len(rows)) % tuple(
             rows.ravel().tolist())
     else:
         lines = []
         for i, row in enumerate(rows):
             if len(row) != width:
-                raise ValueError(f"table {os.path.basename(path)}: row {i} has "
-                                 f"{len(row)} cells under {width} header columns")
+                raise ValueError(f"table {name}: row {i} has {len(row)} cells "
+                                 f"under {width} header columns")
             lines.append(",".join(cell if isinstance(cell, str) else fmt(cell)
                                   for cell in row) + "\n")
         body = "".join(lines)
-    atomic_write_text(path, ",".join(header) + "\n" + body)
+    return ",".join(header) + "\n" + body
 
 
 @dataclass(frozen=True)
@@ -710,41 +709,30 @@ def _report_json(report):
 
 
 def run(spec):
-    """Execute one experiment into its directory: check its parameters (a
-    rejected value returns a failing report and leaves a directory that holds
-    a report.json as it is), make the directory, or clear the tables of the
-    report.json already there, write the runner's files once it has returned
-    (so a failure writes none of them), then report.json."""
+    """Execute one experiment into its directory: resolve its parameters, run
+    it and format its tables, and only then touch the disk. On a failure at
+    any of these steps a directory that holds a report.json is left as it is;
+    otherwise make the directory, clear the tables of the report.json already
+    there, write the new tables, then report.json."""
     exp = EXPERIMENTS[spec.id]
     outdir = os.fspath(spec.output_dir)
     report_path = os.path.join(outdir, "report.json")
     start = time.perf_counter()
-    claims, tables = [], []
+    claims, texts, error = [], {}, ""
     try:
-        params, error = resolve_parameters(exp, spec.parameters), ""
-    except ValueError as exc:
-        params, error = None, f"{spec.id}: {type(exc).__name__}: {exc}"
-        if os.path.exists(report_path):
-            return ExperimentReport.build(spec.id, claims, tables,
-                                          time.perf_counter() - start, error=error)
-    try:
-        os.mkdir(outdir)
-    except FileNotFoundError:
-        os.makedirs(outdir)
-    except FileExistsError:
-        if not os.path.isdir(outdir):
-            raise
-        _clear_previous_tables(outdir)
-    try:
-        if params is not None:
-            claims, outputs = exp.runner(params)
-            for name, (header, rows) in outputs.items():
-                write_table(os.path.join(outdir, name), header, rows)
-                tables.append(name)
+        claims, outputs = exp.runner(resolve_parameters(exp, spec.parameters))
+        texts = {name: format_table(name, header, rows)
+                 for name, (header, rows) in outputs.items()}
     except Exception as exc:  # recorded, not raised: run-all must continue
         error = f"{spec.id}: {type(exc).__name__}: {exc}"
-    report = ExperimentReport.build(spec.id, claims, tables,
+    report = ExperimentReport.build(spec.id, claims, list(texts),
                                     time.perf_counter() - start, error=error)
+    if error and os.path.exists(report_path):
+        return report
+    os.makedirs(outdir, exist_ok=True)
+    _clear_previous_tables(outdir)
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(outdir, name), text)
     atomic_write_text(report_path, _report_json(report))
     return report
 

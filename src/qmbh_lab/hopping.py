@@ -204,7 +204,11 @@ def self_consistent_mass(spec, kernel, psi0, tol=1e-8, max_iter=500):
     return em, psi, history
 
 
-def emergent_hamiltonian_check(em, p_max, samples=401):
+# emergent_hamiltonian_check's momentum samples on [-p_max, p_max]
+CHECK_SAMPLES = 401
+
+
+def emergent_hamiltonian_check(em, p_max):
     """Quadratic-plus-rest spectrum against the relativistic energy.
 
     Deviation is measured relative to the rest energy m c^2; its expected
@@ -213,7 +217,7 @@ def emergent_hamiltonian_check(em, p_max, samples=401):
     if not em.converged:
         raise ValueError("emergent mass did not converge; check the fixed point")
     m = em.m
-    p = np.linspace(-p_max, p_max, samples)
+    p = np.linspace(-p_max, p_max, CHECK_SAMPLES)
     e_nr = p**2 / (2 * m) + m
     e_rel = np.sqrt(p**2 + m**2)
     deviation = float(np.max(np.abs(e_nr - e_rel)) / m)

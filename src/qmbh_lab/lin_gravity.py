@@ -228,46 +228,6 @@ def shell_trace_a0(s, r_values):
 
 
 @dataclass(frozen=True)
-class WeylFields:
-    phi: np.ndarray
-    e_field: np.ndarray          # (3, *grid)
-    b_field: np.ndarray          # (3, *grid)
-    doubling_residual: float     # max |E + 2 grad phi| / field scale
-    doubling_factor: float
-
-
-def weyl_em_fields(omega, dt, spacings):
-    """Fields of a pure-gradient four-potential A_mu = d_mu Omega.
-
-    Omega is sampled on a (t, x, y, z) grid. B = curl grad Omega vanishes;
-    E = -dA/dt - grad phi = -2 grad phi with phi = dOmega/dt: the doubled
-    effective charge feeding the g = 2 reading.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 4:
-        raise ValueError("omega must be sampled on a (t, x, y, z) grid")
-    if len(spacings) != 3:
-        raise ValueError("three spatial spacings required")
-    a = np.stack(np.gradient(omega, *spacings, axis=(1, 2, 3)))       # (3, t, x, y, z)
-    phi = np.gradient(omega, dt, axis=0)
-    dadt = np.stack([np.gradient(a[i], dt, axis=0) for i in range(3)])
-    grad_phi = np.stack(np.gradient(phi, *spacings, axis=(1, 2, 3)))
-    e_field = -dadt - grad_phi
-    b_field = np.stack([
-        np.gradient(a[2], spacings[1], axis=2) - np.gradient(a[1], spacings[2], axis=3),
-        np.gradient(a[0], spacings[2], axis=3) - np.gradient(a[2], spacings[0], axis=1),
-        np.gradient(a[1], spacings[0], axis=1) - np.gradient(a[0], spacings[1], axis=2),
-    ])
-    scale = float(np.max(np.abs(e_field)))
-    if scale == 0.0:
-        scale = max(float(np.max(np.abs(grad_phi))), 1.0)
-    doubling_residual = float(np.max(np.abs(e_field + 2 * grad_phi))) / scale
-    mid = omega.shape[0] // 2
-    return WeylFields(phi=phi[mid], e_field=e_field[:, mid], b_field=b_field[:, mid],
-                      doubling_residual=doubling_residual, doubling_factor=2.0)
-
-
-@dataclass(frozen=True)
 class ConfinementFit:
     alpha_c: float          # Coulomb coefficient (fitted, signed)
     sigma_l: float          # linear coefficient (fitted, signed)

@@ -3,9 +3,9 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -347,9 +347,10 @@ class TestRun:
         assert report.tables == []
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
-    def test_rerun_clears_previous_tables(self, tmp_path, monkeypatch):
+    def test_raising_runner_keeps_previous_output(self, tmp_path, monkeypatch):
         first = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
         assert first.status == "pass" and len(first.tables) == 3
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def fail(*args, **kwargs):
             raise RuntimeError("averaging failed")
@@ -357,7 +358,30 @@ class TestRun:
         monkeypatch.setattr(experiments.dirac, "time_average", fail)
         second = experiments.run(experiments.ExperimentSpec("zbw", {}, tmp_path))
         assert second.error == "zbw: RuntimeError: averaging failed"
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_malformed_table_writes_no_table(self, tmp_path, monkeypatch, fresh):
+        if not fresh:
+            experiments.run(experiments.ExperimentSpec("ring-model", {}, tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        exp = experiments.EXPERIMENTS["ring-model"]
+
+        def runner(params):
+            claims, _ = exp.runner(params)
+            return claims, {"good.csv": (["a"], [[1.0]]),
+                            "odd.csv": (["a"], [[1.0, 2.0]])}
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "ring-model",
+                            replace(exp, runner=runner))
+        report = experiments.run(experiments.ExperimentSpec("ring-model", {}, tmp_path))
+        assert report.status == "fail" and report.tables == []
+        assert report.error.startswith("ring-model: ValueError: table odd.csv:")
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if fresh:
+            assert list(after) == ["report.json"]
+        else:
+            assert after == before
 
     # zbw's rule and an unknown name; a value outside its domain goes
     # through TestRunAll::test_rejected_value_leaves_previous_output
@@ -600,25 +624,21 @@ class TestFloatSerialization:
             [-0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7e308, 3.0, -1e16])))))
     def test_array_path_matches_cell_path(self, rows):
         # -0.0, subnormals, near-overflow and integral floats included
-        with tempfile.TemporaryDirectory() as tmp:
-            header = [f"c{i}" for i in range(rows.shape[1])]
-            experiments.write_table(Path(tmp) / "a.csv", header, rows)
-            experiments.write_table(Path(tmp) / "b.csv", header, rows.tolist())
-            assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        assert (experiments.format_table("a.csv", header, rows)
+                == experiments.format_table("a.csv", header, rows.tolist()))
 
-    def test_integer_array_matches_cell_path(self, tmp_path):
+    def test_integer_array_matches_cell_path(self):
         rows = np.array([[0, -3], [2**53 + 1, 7]])
-        experiments.write_table(tmp_path / "a.csv", ["i", "j"], rows)
-        experiments.write_table(tmp_path / "b.csv", ["i", "j"], rows.tolist())
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (experiments.format_table("a.csv", ["i", "j"], rows)
+                == experiments.format_table("a.csv", ["i", "j"], rows.tolist()))
 
     @pytest.mark.parametrize("rows", [
         np.zeros((3, 2)), np.zeros((3, 4)), np.zeros(3),
         [[1.0, 2.0, 3.0], [1.0, 2.0]], [["a", 1.0, 2.0, 3.0]], [[]]])
-    def test_malformed_table_rejected(self, tmp_path, rows):
+    def test_malformed_table_rejected(self, rows):
         with pytest.raises(ValueError, match="odd.csv"):
-            experiments.write_table(tmp_path / "odd.csv", ["a", "b", "c"], rows)
-        assert not list(tmp_path.iterdir())
+            experiments.format_table("odd.csv", ["a", "b", "c"], rows)
 
 
 class TestCli:

@@ -359,39 +359,6 @@ class TestExactSums:
         lg.charge_estimate(ring, p)
 
 
-class TestWeylFields:
-    @staticmethod
-    def grid_omega(fn, n=32, lo=0.6, hi=1.6, nt=5, dt=0.01):
-        ax = np.linspace(lo, hi, n)
-        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        omega = np.stack([fn(i * dt, x, y, z) for i in range(nt)])
-        return omega, dt, (ax[1] - ax[0],) * 3, (x, y, z)
-
-    def test_gradient_field_has_no_curl(self):
-        omega, dt, sp, _ = self.grid_omega(
-            lambda t, x, y, z: (1 + 0.5 * t) * np.sin(x) * np.cos(y) * z)
-        w = lg.weyl_em_fields(omega, dt, sp)
-        assert np.max(np.abs(w.b_field)) <= 1e-10 * np.max(np.abs(w.e_field))
-
-    def test_static_field_is_inert(self):
-        omega, dt, sp, _ = self.grid_omega(lambda t, x, y, z: np.sin(x * y) + z)
-        w = lg.weyl_em_fields(omega, dt, sp)
-        assert np.max(np.abs(w.phi)) == 0.0
-        assert np.max(np.abs(w.e_field)) == 0.0
-
-    def test_doubled_coulomb(self):
-        q = 2.5
-        omega, dt, sp, (x, y, z) = self.grid_omega(
-            lambda t, xx, yy, zz: t * q / np.sqrt(xx**2 + yy**2 + zz**2))
-        w = lg.weyl_em_fields(omega, dt, sp)
-        r = np.sqrt(x**2 + y**2 + z**2)
-        e_mag = np.sqrt((w.e_field**2).sum(axis=0))
-        core = (slice(4, -4),) * 3
-        assert np.max(np.abs(e_mag[core] / (2 * q / r**2)[core] - 1)) <= 1e-2
-        assert w.doubling_residual <= 1e-10
-        assert w.doubling_factor == 2.0
-
-
 class TestConfinement:
     def setup_method(self):
         self.mass = 1.8  # GeV in natural units hbar = c = 1
