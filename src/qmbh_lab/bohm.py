@@ -137,10 +137,7 @@ def _kinetic_phase(n, dx, dt, steps):
 def evolve(grid, dt, steps):
     """Free evolution for `steps` steps of size dt: one exact k-space phase."""
     p = _kinetic_phase(grid.n, grid.dx, dt, steps)
-    spectrum = np.fft.fft2(grid.psi)
-    np.multiply(np.outer(p, p), spectrum, out=spectrum)
-    psi = np.fft.ifft2(spectrum)
-    return WaveGrid2D(psi, grid.dx)
+    return WaveGrid2D(np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi)), grid.dx)
 
 
 @dataclass
@@ -252,9 +249,8 @@ def quantum_potential(fields):
     if bool(fields.node_mask.all()):
         raise ValueError("no off-mask region: field is zero everywhere")
     lap = _spectral_laplacian(fields.R, fields.dx)
-    lap *= -0.5
-    lap /= np.where(fields.node_mask, 1.0, fields.R)
-    return np.ma.masked_array(lap, mask=fields.node_mask)
+    q = -0.5 * lap / np.where(fields.node_mask, 1.0, fields.R)
+    return np.ma.masked_array(q, mask=fields.node_mask)
 
 
 @dataclass
@@ -336,25 +332,12 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     Time derivative is centered over 2*dt; the flux divergence is spectral.
     Returns RMS(residual) / max over the grid of either term's magnitude.
     """
+    rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
     f = decompose(grid_center)
-    flux = f.v  # f's own array: zeroed at the nodes and scaled by rho in place
-    flux[:, f.node_mask] = 0.0
-    flux *= f.density()
-    del f
+    flux = np.where(f.node_mask, 0.0, f.v) * f.density()
     div = _spectral_divergence(flux[0], flux[1], grid_center.dx)
-    del flux
-    rho_dot = np.abs(grid_plus.psi)
-    rho_dot **= 2
-    rho_minus = np.abs(grid_minus.psi)
-    rho_minus **= 2
-    rho_dot -= rho_minus
-    del rho_minus
-    rho_dot /= 2 * dt
     scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
-    residual = rho_dot
-    residual += div
-    residual **= 2
-    return float(np.sqrt(np.mean(residual))) / scale
+    return float(np.sqrt(np.mean((rho_dot + div) ** 2))) / scale
 
 
 # Product states. The free propagator's phase is p(kx) p(ky), so a state

@@ -1,29 +1,36 @@
 """qmbh command line: list, run, run-all, report.
 
-Output root resolution: --out flag, else the QMBH_OUT environment variable,
-else ./qmbh-out. Config files are plain `key = value` lines; command-line
-flags override file values.
+`qmbh run <id> --key value ...` is `run-all` of that one experiment with the
+overrides `<id>.key = value`. Both write under --out (default ./qmbh-out).
+Config files are plain `key = value` lines.
 """
 
-import os
 import sys
 from pathlib import Path
 
 import click
 
-from .experiments import (EXPERIMENTS, ExperimentSpec, parse_config,
-                          resolve_parameters, run, run_all, split_overrides,
-                          summary_lines, ExperimentReport)
+from .experiments import (EXPERIMENTS, ExperimentReport, parse_config,
+                          resolve_parameters, run_all, split_overrides,
+                          summary_lines)
 
-OUT_ENV_VAR = "QMBH_OUT"
+_out_option = click.option("--out", "out_root", default="qmbh-out",
+                           help="Output root directory.")
 
 
-def _default_out(flag_value, config_value=None):
-    if flag_value:
-        return Path(flag_value)
-    if config_value:
-        return Path(config_value)
-    return Path(os.environ.get(OUT_ENV_VAR, "qmbh-out"))
+def _checked_run_all(out_root, overrides, only):
+    """`run_all` once every override has been split and resolved: a bad key or
+    value is a usage error (exit status 2) that runs nothing and touches no
+    directory, also one for an experiment that `only` leaves out."""
+    try:
+        for exp_id, given in split_overrides(overrides).items():
+            try:
+                resolve_parameters(EXPERIMENTS[exp_id], given)
+            except ValueError as exc:
+                raise click.UsageError(f"{exp_id}: {exc}") from exc
+        return run_all(out_root, overrides=overrides, only=only)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -43,14 +50,11 @@ def list_experiments():
 @main.command("run", context_settings={"ignore_unknown_options": True,
                                        "allow_extra_args": True})
 @click.argument("experiment_id")
-@click.option("--out", "out_flag", default=None, help="Output root directory.")
+@_out_option
 @click.pass_context
-def run_one(ctx, experiment_id, out_flag):
-    """Run one experiment: qmbh run <id> [--key value ...].
-
-    An unknown, repeated or out-of-domain parameter is a usage error (exit
-    status 2) that leaves the output directory untouched.
-    """
+def run_one(ctx, experiment_id, out_root):
+    """Run one experiment: qmbh run <id> [--key value ...]; exit status 0 if
+    it passes, 1 if it fails, 2 on a usage error, as for run-all."""
     tokens = list(ctx.args)
     params = {}
     while tokens:
@@ -63,26 +67,22 @@ def run_one(ctx, experiment_id, out_flag):
         params[name] = tokens.pop(0)
     if experiment_id not in EXPERIMENTS:
         raise click.UsageError(f"unknown experiment id {experiment_id!r}")
-    try:
-        resolve_parameters(EXPERIMENTS[experiment_id], params)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    out_root = _default_out(out_flag)
-    report = run(ExperimentSpec(experiment_id, params, out_root / experiment_id))
+    overrides = {f"{experiment_id}.{name}": value for name, value in params.items()}
+    (report,), failures = _checked_run_all(out_root, overrides, [experiment_id])
     for c in report.claims:
         click.echo(f"  [{'pass' if c.passed else 'FAIL'}] {c.id}: "
                    f"computed={c.computed:.6g} reference={c.reference:.6g}")
     if report.error:
         click.echo(f"  error: {report.error}")
     click.echo(f"{report.id}: {report.status}")
-    sys.exit(0 if report.status == "pass" else 1)
+    sys.exit(failures)
 
 
 @main.command("run-all")
 @click.option("--config", "config_path", default=None,
               help="Plain-text `key = value` configuration file.")
-@click.option("--out", "out_flag", default=None, help="Output root directory.")
-def run_all_cmd(config_path, out_flag):
+@_out_option
+def run_all_cmd(config_path, out_root):
     """Run every registered experiment; exit status = number of failures.
 
     A bad config, including an out-of-domain override for any experiment,
@@ -91,28 +91,18 @@ def run_all_cmd(config_path, out_flag):
     """
     overrides = {}
     only = None
-    config_out = None
     try:
-        if config_path:
-            pairs = parse_config(config_path)
-            for key, value in pairs.items():
-                if key == "out":
-                    config_out = value
-                elif key == "only":
-                    only = [tok.strip() for tok in value.split(",") if tok.strip()]
-                elif "." in key:
-                    overrides[key] = value
-                else:
-                    raise click.UsageError(f"unrecognized config key {key!r}")
-        out_root = _default_out(out_flag, config_out)
-        for exp_id, given in split_overrides(overrides).items():
-            try:
-                resolve_parameters(EXPERIMENTS[exp_id], given)
-            except ValueError as exc:
-                raise click.UsageError(f"{exp_id}: {exc}") from exc
-        reports, failures = run_all(out_root, overrides=overrides, only=only)
+        pairs = parse_config(config_path) if config_path else {}
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    for key, value in pairs.items():
+        if key == "only":
+            only = [tok.strip() for tok in value.split(",") if tok.strip()]
+        elif "." in key:
+            overrides[key] = value
+        else:
+            raise click.UsageError(f"unrecognized config key {key!r}")
+    reports, failures = _checked_run_all(out_root, overrides, only)
     if not reports:
         click.echo("warning: registry filter selected zero experiments", err=True)
     for line in summary_lines(reports):

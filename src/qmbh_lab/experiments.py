@@ -336,14 +336,10 @@ def _run_hopping_dispersion(params):
     k = disp.k
     e_of = dict(zip(k.tolist(), disp.energies.tolist()))
     sym = max(abs(e_of[kk] - e_of[-kk]) for kk in k.tolist() if -kk in e_of)
-    zero_idx = int(np.argmin(np.abs(k)))
     claims = [
         RatioCheck.relative("effective-mass-fit", disp.agreement, 1.0, 0.01),
         RatioCheck.upper_bound("dispersion-symmetry", sym,
                                1e-10 * max(abs(disp.energies).max(), 1.0)),
-        RatioCheck.relative("band-minimum-at-zero",
-                            disp.energies[zero_idx], float(disp.energies.min()),
-                            1e-12),
     ]
     return claims, {"dispersion.csv": (["k", "E_k"],
                                        np.column_stack((disp.k, disp.energies)))}
@@ -743,9 +739,12 @@ def split_overrides(overrides):
     params = {exp_id: {} for exp_id in EXPERIMENTS}
     for key, value in overrides.items():
         prefix, _, name = key.partition(".")
-        if prefix not in EXPERIMENTS or name not in EXPERIMENTS[prefix].params:
+        if prefix not in EXPERIMENTS:
             raise ValueError(f"override {key!r} is not "
                              f"`<registered experiment id>.<parameter>`")
+        if name not in EXPERIMENTS[prefix].params:
+            raise ValueError(f"override {key!r}: unknown parameter {name!r} "
+                             f"for experiment {prefix!r}")
         params[prefix][name] = value
     return params
 

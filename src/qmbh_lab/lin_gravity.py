@@ -35,7 +35,6 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 class ShellSource:
     """Discretized rotating source: equal-mass elements at |v| = c, azimuthal."""
 
-    geometry: str                 # "ring" | "sphere"
     radius: float                 # cm
     mass: float                   # g, total
     speed: float                  # cm/s, every element exactly this
@@ -65,7 +64,7 @@ class ShellSource:
         ang = 2 * math.pi * np.arange(n_elements) / n_elements
         pos = np.stack([radius * np.cos(ang), radius * np.sin(ang),
                         np.zeros(n_elements)], axis=1)
-        return cls("ring", radius, mass, speed, pos,
+        return cls(radius, mass, speed, pos,
                    np.full(n_elements, mass / n_elements))
 
     @classmethod
@@ -77,7 +76,7 @@ class ShellSource:
         s = np.sqrt(1.0 - z**2)
         phi = GOLDEN_ANGLE * i
         pos = radius * np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-        return cls("sphere", radius, mass, speed, pos,
+        return cls(radius, mass, speed, pos,
                    np.full(n_elements, mass / n_elements))
 
 

@@ -374,20 +374,6 @@ def stacked_wrapped_gradient(S, dx, period):
     return np.stack(grads)
 
 
-def where_continuity_residual(grid_minus, grid_center, grid_plus, dt):
-    """Reference: `continuity_residual` with fresh arrays for every term."""
-    rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
-    f = bohm.decompose(grid_center)
-    rho = f.density()
-    v = stacked_wrapped_gradient(f.S, f.dx, f.phase_period)
-    vx = np.where(f.node_mask, 0.0, v[0])
-    vy = np.where(f.node_mask, 0.0, v[1])
-    div = bohm._spectral_divergence(rho * vx, rho * vy, grid_center.dx)
-    residual = rho_dot + div
-    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
-    return float(np.sqrt(np.mean(residual**2))) / scale
-
-
 class TestInPlaceBitIdentity:
     """The in-place kernels repeat the reference forms' floating-point
     operations in the same order, so they agree bit for bit."""
@@ -408,10 +394,6 @@ class TestInPlaceBitIdentity:
     def test_wrapped_gradient_on_evolved_state(self, triple):
         f = bohm.decompose(triple[1])
         assert np.array_equal(f.v, stacked_wrapped_gradient(f.S, f.dx, 2 * math.pi))
-
-    def test_continuity_residual_on_evolved_triple(self, triple):
-        assert (bohm.continuity_residual(*triple, 5e-4)
-                == where_continuity_residual(*triple, 5e-4))
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_half_winding_box_matches_full_grid(self, n):

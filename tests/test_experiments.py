@@ -31,8 +31,7 @@ DEFAULT_CLAIM_IDS = {
                     "half-winding-m-gamma-over-half-h", "velocity-profile-deviation",
                     "continuity-residual", "stationary-q-constancy-std"],
     "ring-model": ["ring-energy-quadrature", "ring-action-quadrature"],
-    "hopping-dispersion": ["effective-mass-fit", "dispersion-symmetry",
-                           "band-minimum-at-zero"],
+    "hopping-dispersion": ["effective-mass-fit", "dispersion-symmetry"],
     "emergent-mass": ["windowed-m0-open-unit-interval", "monotone-iterates"],
     "dispersion-vs-relativity": ["dispersion-vs-relativity"],
     "zbw": ["zbw-frequency", "zbw-amplitude", "time-average-suppression",
@@ -707,8 +706,9 @@ class TestCli:
         ("zbw.sigma = 5\nzbw.sigma = 6\n", "zbw.sigma"),
         ("zbw.sigma 5\n", "zbw.sigma"),
         ("only = ring-model, kn-wormhole\n", "kn-wormhole"),
+        ("out = /tmp/x\n", "out"),
     ], ids=["typo-prefix", "typo-parameter", "duplicate-key", "malformed-line",
-            "unknown-only-id"])
+            "unknown-only-id", "out-key"])
     def test_run_all_bad_config_is_usage_error(self, tmp_path, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
@@ -766,11 +766,18 @@ class TestCli:
         assert result.exit_code == 0
         assert "zero experiments" in result.output
 
-    def test_out_env_var_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env-out"))
-        result = CliRunner().invoke(cli.main, ["run", "metric-slice"])
+    def test_run_is_run_all_of_one(self, tmp_path):
+        result = CliRunner().invoke(
+            cli.main, ["run", "zbw", "--sigma", "5", "--out", str(tmp_path / "one")])
         assert result.exit_code == 0
-        assert (tmp_path / "env-out" / "metric-slice" / "report.json").exists()
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("only = zbw\nzbw.sigma = 5\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "all")])
+        assert result.exit_code == 0
+        tables = [{p.name: p.read_bytes() for p in (tmp_path / root / "zbw").iterdir()
+                   if p.name != "report.json"} for root in ("one", "all")]
+        assert tables[0] and tables[0] == tables[1]
 
     def test_report_command(self, tmp_path):
         out = tmp_path / "o"
