@@ -33,7 +33,7 @@ evolved; Q + V is only evaluated on a given state.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,15 +50,14 @@ def _check_power_of_two_size(n):
         raise ValueError(f"grid size must be a power of two >= 64, got {n}")
 
 
-@dataclass
 class WaveGrid2D:
     """Complex amplitudes on an N x N periodic grid with spacing dx."""
 
-    psi: np.ndarray
-    dx: float
+    __slots__ = ("psi", "dx")
 
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=np.complex128)
+    def __init__(self, psi, dx):
+        self.psi = np.asarray(psi, dtype=np.complex128)
+        self.dx = dx
         if self.psi.ndim != 2 or self.psi.shape[0] != self.psi.shape[1]:
             raise ValueError("psi must be a square 2-D array")
         _check_power_of_two_size(self.psi.shape[0])
@@ -140,21 +139,19 @@ def evolve(grid, dt, steps):
     return WaveGrid2D(np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi)), grid.dx)
 
 
-@dataclass
 class MadelungFields:
     """(R, S, v) decomposition of a grid state.
 
     S is stored modulo `phase_period` at each node (2*pi for fields coming
     from a single-valued psi; pi for directly constructed two-sheeted
     fields). v = grad S has shape (2, N, N), x-component first, and
-    is computed on first read.
+    is computed on first read and cached in the instance __dict__, so the
+    class has no __slots__.
     """
 
-    R: np.ndarray
-    S: np.ndarray
-    node_mask: np.ndarray
-    dx: float
-    phase_period: float = 2 * math.pi
+    def __init__(self, R, S, node_mask, dx, phase_period=2 * math.pi):
+        self.R, self.S, self.node_mask = R, S, node_mask
+        self.dx, self.phase_period = dx, phase_period
 
     @property
     def n(self):
@@ -253,7 +250,6 @@ def quantum_potential(fields):
     return np.ma.masked_array(q, mask=fields.node_mask)
 
 
-@dataclass
 class LoopPath:
     """Closed, simple, axis-aligned path through grid nodes.
 
@@ -261,10 +257,10 @@ class LoopPath:
     be nearest neighbours. `ij` holds them as an (n, 2) array.
     """
 
-    nodes: list
-    ij: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "ij")
 
-    def __post_init__(self):
+    def __init__(self, nodes):
+        self.nodes = nodes
         if len(self.nodes) < 4:
             raise ValueError("loop needs at least 4 nodes")
         if len(set(self.nodes)) != len(self.nodes):
@@ -291,8 +287,7 @@ class LoopPath:
         return cls(nodes)
 
 
-@dataclass(frozen=True)
-class CirculationResult:
+class CirculationResult(NamedTuple):
     gamma: float
     half_quanta: float
     nearest: int

@@ -6,42 +6,42 @@ never recomputed at runtime.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Pinned CGS-Gaussian constants table (CODATA 2018 values)."""
+class Constants(namedtuple("Constants", "hbar c G e esu_ref",
+                           defaults=(1.054571817e-27, 2.99792458e10, 6.67430e-8,
+                                     4.80320471e-10, 1.0))):
+    """Pinned CGS-Gaussian constants table (CODATA 2018 values): hbar in
+    erg s, c in cm/s (exact), G in cm^3 g^-1 s^-2, the elementary charge e in
+    esu and the reference charge esu_ref = e' = 1 esu."""
 
-    hbar: float = 1.054571817e-27   # erg s
-    c: float = 2.99792458e10        # cm/s (exact)
-    G: float = 6.67430e-8           # cm^3 g^-1 s^-2
-    e: float = 4.80320471e-10       # elementary charge, esu
-    esu_ref: float = 1.0            # reference charge e' = 1 esu
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("hbar", "c", "G", "e", "esu_ref"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0:
                 raise ValueError(f"constant {name} must be strictly positive")
+        return self
 
 
 CGS = Constants()
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
-    """Named particle; the anchor for every derived scale."""
+class ParticleSpec(namedtuple("ParticleSpec", "name mass charge spin")):
+    """Named particle; the anchor for every derived scale. Mass in g, charge
+    in esu (signed), spin a multiple of hbar: 0, 1/2, 1, ..."""
 
-    name: str
-    mass: float     # g
-    charge: float   # esu, signed
-    spin: float     # multiple of hbar: 0, 1/2, 1, ...
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 <= self.mass < math.inf):
             raise ValueError(f"mass must be non-negative and finite, got {self.mass!r}")
         if self.spin < 0 or round(2 * self.spin) != 2 * self.spin:
             raise ValueError("spin must be a non-negative multiple of 1/2")
+        return self
 
 
 # Built-in catalog. Masses CODATA 2018; charm taken at 1.8 GeV/c^2 with
@@ -55,33 +55,30 @@ BUILTIN_PARTICLES = {
 }
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(namedtuple("RatioCheck",
+                            "id computed reference tolerance_kind tolerance note",
+                            defaults=("",))):
     """A computed-vs-reference comparison with a declared tolerance.
 
     tolerance_kind is either "relative" (tolerance = epsilon) or
     "order_of_magnitude" (tolerance = decades of |log10(computed/reference)|).
     """
 
-    id: str
-    computed: float
-    reference: float
-    tolerance_kind: str
-    tolerance: float
-    passed: bool = field(init=False)
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", self._evaluate())
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.tolerance_kind not in ("relative", "order_of_magnitude"):
+            raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
+        return self
 
-    def _evaluate(self):
+    @property
+    def passed(self):
         if self.tolerance_kind == "relative":
             return abs(self.computed - self.reference) <= self.tolerance * abs(self.reference)
-        if self.tolerance_kind == "order_of_magnitude":
-            if self.computed <= 0 or self.reference <= 0:
-                return False
-            return abs(math.log10(self.computed / self.reference)) <= self.tolerance
-        raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
+        if self.computed <= 0 or self.reference <= 0:
+            return False
+        return abs(math.log10(self.computed / self.reference)) <= self.tolerance
 
     @classmethod
     def relative(cls, id, computed, reference, epsilon, note=""):

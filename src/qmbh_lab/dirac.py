@@ -17,37 +17,43 @@ sigma_z, Omega ~ 2 and the Compton length is 1.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-@dataclass
-class DiracPacket1D:
+
+class DiracPacket1D(namedtuple("DiracPacket1D", "k a")):
     """Two-component spinor amplitudes a[:, j] on a uniform momentum grid k[j],
     in natural units: the class constants are those units and the scales
     they fix."""
 
-    k: np.ndarray
-    a: np.ndarray
+    __slots__ = ()
 
     mass = c = hbar = 1.0
     compton_length = 1.0          # hbar / (m c)
     zbw_omega = 2.0               # 2 m c^2 / hbar
 
-    def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.complex128)
-        n = self.k.size
+    def __new__(cls, k, a):
+        k = np.asarray(k, dtype=np.float64)
+        a = np.asarray(a, dtype=np.complex128)
+        n = k.size
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError("momentum grid must hold a power of two >= 256 points")
-        if self.a.shape != (2, n):
+        if a.shape != (2, n):
             raise ValueError("spinor array must have shape (2, n_k)")
         # each k is rounded to an ulp of itself, at most that of an end point;
         # a nan or inf in k fails the comparison
-        steps = np.diff(self.k)
-        ulp = np.spacing(max(abs(self.k[0]), abs(self.k[-1])))
+        steps = np.diff(k)
+        ulp = np.spacing(max(abs(k[0]), abs(k[-1])))
         if not steps.max() - steps.min() <= 1e-12 * abs(steps[0]) + 4 * ulp:
             raise ValueError("momentum grid must be uniform")
+        return super().__new__(cls, k, a)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that `_replace` coerces and checks its values as the constructor does
+        return cls(*iterable)
 
     @property
     def dk(self):
@@ -81,7 +87,7 @@ def normalized(packet):
     n = packet.norm()
     if n == 0.0:
         raise ValueError("cannot normalize a zero packet")
-    return replace(packet, a=packet.a / math.sqrt(n))
+    return packet._replace(a=packet.a / math.sqrt(n))
 
 
 def _hamiltonian_fields(packet):
@@ -91,8 +97,7 @@ def _hamiltonian_fields(packet):
     return hx, hz, np.hypot(hx, hz)
 
 
-@dataclass(frozen=True)
-class EnergySplit:
+class EnergySplit(NamedTuple):
     w_plus: float
     w_minus: float
 
@@ -119,7 +124,7 @@ def project_branch(packet, sign):
     a0, a1 = packet.a
     b0 = 0.5 * ((1 + sign * nz) * a0 + sign * nx * a1)
     b1 = 0.5 * (sign * nx * a0 + (1 - sign * nz) * a1)
-    return normalized(replace(packet, a=np.stack([b0, b1])))
+    return normalized(packet._replace(a=np.stack([b0, b1])))
 
 
 def _spectral_k_derivative(a, dk):
@@ -141,16 +146,14 @@ def mean_position(packet):
     return float(np.real(val)) / packet.norm()
 
 
-@dataclass(frozen=True)
-class ZbwFit:
+class ZbwFit(NamedTuple):
     slope: float
     amplitude: float
     omega: float
     rms_residual: float
 
 
-@dataclass(frozen=True)
-class ZbwTrace:
+class ZbwTrace(NamedTuple):
     times: np.ndarray
     x_mean: np.ndarray
     fit: ZbwFit

@@ -8,7 +8,8 @@ at any of these steps leaves a directory that already holds a report.json as
 it is and puts only report.json into any other. Otherwise `run` makes the
 directory, deletes the tables that its previous report.json lists, writes
 each table to a temporary file that is then renamed over the final name, and
-writes report.json last. report.json is compact JSON with each claim on a
+writes report.json last; an OSError there is recorded as the experiment's
+error, like a runner's. report.json is compact JSON with each claim on a
 line of its own.
 Running the same configuration twice must produce byte-identical tables.
 """
@@ -17,8 +18,10 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,19 +73,17 @@ def format_table(name, header, rows):
     return ",".join(header) + "\n" + body
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    id: str
-    parameters: dict
-    output_dir: Path
+class ExperimentSpec(namedtuple("ExperimentSpec", "id parameters output_dir")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.id not in EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.id!r}")
+        return self
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     id: str
     claims: list
     tables: list
@@ -114,8 +115,7 @@ class ExperimentReport:
                    status=d["status"], error=d.get("error", ""))
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A parameter's default and its domain: the interval from `lo` to `hi`
     (`lo` excluded when `lo_open`) or the set `choices`."""
     default: object
@@ -135,6 +135,8 @@ class Param:
         return f"in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"
 
 
+# the package's one dataclass: perfbench's tracer swaps runners with
+# dataclasses.replace
 @dataclass(frozen=True)
 class Experiment:
     id: str
@@ -709,7 +711,8 @@ def run(spec):
     it and format its tables, and only then touch the disk. On a failure at
     any of these steps a directory that holds a report.json is left as it is;
     otherwise make the directory, clear the tables of the report.json already
-    there, write the new tables, then report.json."""
+    there, write the new tables, then report.json. An OSError there fails the
+    experiment and is recorded in the report returned."""
     exp = EXPERIMENTS[spec.id]
     outdir = os.fspath(spec.output_dir)
     report_path = os.path.join(outdir, "report.json")
@@ -725,11 +728,15 @@ def run(spec):
                                     time.perf_counter() - start, error=error)
     if error and os.path.exists(report_path):
         return report
-    os.makedirs(outdir, exist_ok=True)
-    _clear_previous_tables(outdir)
-    for name, text in texts.items():
-        atomic_write_text(os.path.join(outdir, name), text)
-    atomic_write_text(report_path, _report_json(report))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        _clear_previous_tables(outdir)
+        for name, text in texts.items():
+            atomic_write_text(os.path.join(outdir, name), text)
+        atomic_write_text(report_path, _report_json(report))
+    except OSError as exc:  # recorded like a runner's failure
+        return report._replace(status="fail",
+                               error=f"{spec.id}: {type(exc).__name__}: {exc}")
     return report
 
 

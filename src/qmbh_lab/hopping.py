@@ -18,29 +18,28 @@ m = sqrt(m0 * m') / c. Everything runs in natural units hbar = c = 1.
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import RatioCheck
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec", "n_sites b e0 a")):
     """Periodic chain (hbar = 1) of n_sites sites, spacing b, diagonal E0, hopping A."""
 
-    n_sites: int
-    b: float
-    e0: float
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 16:
             raise ValueError(f"n_sites must be an integer >= 16, got {self.n_sites!r}")
         for name, lo in (("b", 0), ("a", 0), ("e0", -math.inf)):
             value = getattr(self, name)
             if not (lo < value < math.inf):
                 raise ValueError(f"{name} must be finite and > {lo}, got {value!r}")
+        return self
 
     def coordinates(self):
         """Site positions centered on the chain, x_i = (i - n/2) b."""
@@ -51,14 +50,13 @@ class ChainSpec:
         return 1 / (2 * self.a * self.b**2)
 
 
-@dataclass
 class AmplitudeVector:
     """Complex site amplitudes C_i."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.complex128)
         if not np.all(np.isfinite(self.values.view(np.float64))):
             raise ValueError("amplitudes contain NaN or Inf")
 
@@ -88,8 +86,7 @@ def spectrum(spec):
     return np.fft.fftshift(np.fft.fft(row)).real
 
 
-@dataclass(frozen=True)
-class DispersionResult:
+class DispersionResult(NamedTuple):
     k: np.ndarray
     energies: np.ndarray          # chain spectrum, one eigenvalue per mode k
     m_prime_fit: float
@@ -120,18 +117,18 @@ def dispersion(spec, fit_window=0.1):
                             m_prime_formula=spec.m_prime())
 
 
-@dataclass(frozen=True)
-class NonlocalKernel:
+class NonlocalKernel(namedtuple("NonlocalKernel", "r_w w")):
     """Window U(x): 1 inside |x| < r_w, half-Gaussian falloff of width w beyond."""
 
-    r_w: float
-    w: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("r_w", "w"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
+        return self
 
     def u(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -144,8 +141,7 @@ class NonlocalKernel:
         return cls(r_w=r_w, w=4 * spec.b)
 
 
-@dataclass(frozen=True)
-class EmergentMass:
+class EmergentMass(NamedTuple):
     m0: float
     m_prime: float
     iterations: int

@@ -19,24 +19,24 @@ routine keeps the textbook form.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import CGS
 
 
-@dataclass(frozen=True)
-class KNParams:
+class KNParams(namedtuple("KNParams", "mass charge angular_momentum")):
     """Mass (g), charge (esu) and angular momentum (erg s), in the pinned CGS table."""
 
-    mass: float
-    charge: float
-    angular_momentum: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.mass < math.inf):
             raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+        return self
 
     @property
     def m_star(self):
@@ -56,8 +56,7 @@ class KNParams:
         return cls(mass=p.mass, charge=p.charge, angular_momentum=p.spin * CGS.hbar)
 
 
-@dataclass(frozen=True)
-class HorizonResult:
+class HorizonResult(NamedTuple):
     r_plus: complex
     r_minus: complex
     naked: bool
@@ -71,8 +70,7 @@ def horizons(p):
     return HorizonResult(r_plus=m + root, r_minus=m - root, naked=radicand < 0.0)
 
 
-@dataclass(frozen=True)
-class FarFieldSample:
+class FarFieldSample(NamedTuple):
     r: float
     theta: float                  # float or array; b_r and b_theta follow it
     phi_grav: float
@@ -140,8 +138,7 @@ def div_b_residual(p, r, theta):
     return np.abs(d_r + d_theta) / scale
 
 
-@dataclass(frozen=True)
-class MetricSlice:
+class MetricSlice(NamedTuple):
     dt2_coeff: float
     dr2_coeff: float
     doubling_factor: float

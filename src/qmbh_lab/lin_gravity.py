@@ -22,7 +22,7 @@ integer sums, rounded once; the rank test is exact: < 2 distinct radii raise Val
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .constants import CGS, RatioCheck
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-@dataclass(frozen=True)
-class ShellSource:
+class ShellSource(NamedTuple):
     """Discretized rotating source: equal-mass elements at |v| = c, azimuthal."""
 
     radius: float                 # cm
@@ -226,8 +225,7 @@ def shell_trace_a0(s, r_values):
     return a0, slope, float(a0[-1] * r_values[-1])
 
 
-@dataclass(frozen=True)
-class ConfinementFit:
+class ConfinementFit(NamedTuple):
     alpha_c: float          # Coulomb coefficient (fitted, signed)
     sigma_l: float          # linear coefficient (fitted, signed)
     ratio: float            # |sigma_l / alpha_c|

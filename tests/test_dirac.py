@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ def evolved(packet, t):
     a0, a1 = packet.a
     b0 = (cos - 1j * sin * nz) * a0 + (-1j * sin * nx) * a1
     b1 = (-1j * sin * nx) * a0 + (cos + 1j * sin * nz) * a1
-    return replace(packet, a=np.stack([b0, b1]))
+    return packet._replace(a=np.stack([b0, b1]))
 
 
 def to_position(packet):

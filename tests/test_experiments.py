@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,7 +14,6 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import cli, dirac, experiments
@@ -23,6 +25,16 @@ REGISTERED_IDS = [
     "kn-horizon", "kn-fields", "metric-slice", "shell-spin",
     "charge-confinement",
 ]
+
+
+
+def qmbh(capsys, *argv):
+    """`qmbh *argv` in this process: (exit status, stdout, stderr)."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
 
 # every claim of the default run-all, in registry order
 DEFAULT_CLAIM_IDS = {
@@ -243,15 +255,15 @@ class TestRegistry:
         assert report.error.startswith("zbw: ValueError: parameter 'samples'")
         assert report.claims == []
 
-    def test_zbw_sample_density_rule_is_usage_error(self, tmp_path):
-        CliRunner().invoke(cli.main, ["run", "zbw", "--out", str(tmp_path)])
+    def test_zbw_sample_density_rule_is_usage_error(self, tmp_path, capsys):
+        qmbh(capsys, "run", "zbw", "--out", tmp_path)
         outdir = tmp_path / "zbw"
         before = {f.name: f.read_bytes() for f in outdir.iterdir()}
         assert len(before) == 4
-        result = CliRunner().invoke(cli.main, ["run", "zbw", "--periods", "16",
-                                               "--samples", "319", "--out", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "'samples'" in result.output
+        status, _, err = qmbh(capsys, "run", "zbw", "--periods", "16",
+                              "--samples", "319", "--out", tmp_path)
+        assert status == 2
+        assert "'samples'" in err
         assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
 
 
@@ -421,6 +433,22 @@ class TestRun:
         experiments.run(experiments.ExperimentSpec("kn-fields", {}, tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "a", "far_fields.csv", "report.json"]
+
+    @pytest.mark.parametrize("where, error", [("parent", "NotADirectoryError"),
+                                              ("report", "IsADirectoryError")])
+    def test_write_failure_is_recorded(self, tmp_path, where, error):
+        # an OSError while making or writing the directory fails this one
+        # experiment, as a runner's exception does, and is not raised
+        if where == "parent":
+            (tmp_path / "afile").write_bytes(b"")
+            outdir = tmp_path / "afile" / "kn-fields"
+        else:
+            (tmp_path / "report.json" / "x").mkdir(parents=True)
+            outdir = tmp_path
+        report = experiments.run(experiments.ExperimentSpec("kn-fields", {}, outdir))
+        assert report.status == "fail"
+        assert report.error.startswith(f"kn-fields: {error}")
+        assert [c.id for c in report.claims] == DEFAULT_CLAIM_IDS["kn-fields"]
 
     def test_report_round_trip(self, tmp_path):
         report = experiments.run(
@@ -640,65 +668,110 @@ class TestFloatSerialization:
             experiments.format_table("odd.csv", ["a", "b", "c"], rows)
 
 
-class TestCli:
-    def test_list(self):
-        result = CliRunner().invoke(cli.main, ["list"])
-        assert result.exit_code == 0
-        for exp_id in REGISTERED_IDS:
-            assert exp_id in result.output
+# argv tokens for the CLI fuzz test. Free text holds no "/" and is never "..",
+# so no run writes outside the example's own directory
+CLI_COMMANDS = ["list", "run", "run-all", "report"]
+CLI_TOKENS = st.one_of(
+    st.sampled_from(CLI_COMMANDS + ["--out", "--config", "-h", "--", "", "."]),
+    st.sampled_from(REGISTERED_IDS),
+    st.sampled_from(sorted({f"--{name}" for exp in experiments.EXPERIMENTS.values()
+                            for name in exp.params})),
+    st.text(st.characters(blacklist_characters="/"), max_size=6).filter(
+        lambda t: t != ".."),
+)
 
-    def test_run_single(self, tmp_path):
-        result = CliRunner().invoke(
-            cli.main, ["run", "kn-horizon", "--out", str(tmp_path),
-                       "--particle", "electron"])
-        assert result.exit_code == 0
-        assert "kn-horizon: pass" in result.output
+
+class TestCli:
+    @settings(max_examples=80, deadline=None)
+    @given(command=st.sampled_from(CLI_COMMANDS + [None]),
+           rest=st.lists(CLI_TOKENS, max_size=5))
+    def test_any_argv_exits_0_1_or_2(self, command, rest):
+        argv = [command, *rest] if command else rest
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    with pytest.raises(SystemExit) as stop:
+                        cli.main(argv)
+            finally:
+                os.chdir(cwd)
+        assert stop.value.code in (0, 1, 2), argv
+
+    def test_list(self, capsys):
+        status, out, _ = qmbh(capsys, "list")
+        assert status == 0
+        for exp_id in REGISTERED_IDS:
+            assert exp_id in out
+
+    def test_run_single(self, tmp_path, capsys):
+        status, out, _ = qmbh(capsys, "run", "kn-horizon", "--out", tmp_path,
+                              "--particle", "electron")
+        assert status == 0
+        assert "kn-horizon: pass" in out
         assert (tmp_path / "kn-horizon" / "horizons.csv").exists()
 
-    def test_import_loads_no_scipy(self):
-        # a stray scipy import would put its import time back on every run
-        code = ("import sys, qmbh_lab.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    @staticmethod
+    def fresh_import(code):
+        """stdout of `import qmbh_lab.cli` then `code` in a new interpreter."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        return subprocess.run([sys.executable, "-c", "import sys, qmbh_lab.cli\n" + code],
+                              env=env, check=True, capture_output=True, text=True).stdout
+
+    def test_import_loads_no_scipy(self):
+        # a stray scipy import would put its import time back on every run
+        out = self.fresh_import(
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert out.strip() == "[]"
 
-    def test_run_unknown_id(self, tmp_path):
-        result = CliRunner().invoke(cli.main, ["run", "nope", "--out", str(tmp_path)])
-        assert result.exit_code != 0
+    def test_import_loads_no_click_and_one_dataclass(self):
+        # the CLI is argparse; the records are NamedTuples or plain classes,
+        # which generate no code at import, where each dataclass execs about
+        # five generated methods. Experiment stays a dataclass only because
+        # perfbench's tracer swaps its runners with dataclasses.replace.
+        out = self.fresh_import(
+            "import dataclasses\n"
+            "print('click' in sys.modules)\n"
+            "print(sorted({f'{v.__module__}.{v.__qualname__}'\n"
+            "              for name, m in list(sys.modules.items())\n"
+            "              if name.split('.')[0] == 'qmbh_lab'\n"
+            "              for v in vars(m).values()\n"
+            "              if isinstance(v, type) and dataclasses.is_dataclass(v)}))")
+        assert out.splitlines() == ["False", "['qmbh_lab.experiments.Experiment']"]
 
-    def test_run_unknown_parameter_is_usage_error(self, tmp_path):
+    def test_run_unknown_id(self, tmp_path, capsys):
+        status, _, _ = qmbh(capsys, "run", "nope", "--out", tmp_path)
+        assert status != 0
+
+    def test_run_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         # an unknown name, an out-of-domain value and a repeated flag all exit
         # 2 before the previous run's tables are cleared
-        CliRunner().invoke(cli.main, ["run", "kn-fields", "--out", str(tmp_path)])
+        qmbh(capsys, "run", "kn-fields", "--out", tmp_path)
         outdir = tmp_path / "kn-fields"
         before = {f.name: f.read_bytes() for f in outdir.iterdir()}
         assert {"far_fields.csv", "report.json"} <= set(before)
         for flags, name in [(["--rr", "2"], "'rr'"), (["--r", "0"], "'r'"),
                             (["--r", "2", "--r", "3"], "'r'")]:
-            result = CliRunner().invoke(
-                cli.main, ["run", "kn-fields", *flags, "--out", str(tmp_path)])
-            assert result.exit_code == 2, flags
-            assert name in result.output
+            status, _, err = qmbh(capsys, "run", "kn-fields", *flags, "--out", tmp_path)
+            assert status == 2, flags
+            assert name in err
             assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
 
-    def test_run_all_with_config(self, tmp_path):
+    def test_run_all_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only = ring-model, metric-slice\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 0
-        assert "ring-model,2,2,pass" in result.output
+        status, out, _ = qmbh(capsys, "run-all", "--config", cfg, "--out", tmp_path / "o")
+        assert status == 0
+        assert "ring-model,2,2,pass" in out
 
-    def test_run_all_exit_code_counts_failures(self, tmp_path):
+    def test_run_all_exit_code_counts_failures(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only = zbw\nzbw.omega_tol = 1e-6\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 1
+        status, _, _ = qmbh(capsys, "run-all", "--config", cfg, "--out", tmp_path / "o")
+        assert status == 1
 
     @pytest.mark.parametrize("text, key", [
         ("zbx.sigma = 5\n", "zbx.sigma"),
@@ -709,31 +782,30 @@ class TestCli:
         ("out = /tmp/x\n", "out"),
     ], ids=["typo-prefix", "typo-parameter", "duplicate-key", "malformed-line",
             "unknown-only-id", "out-key"])
-    def test_run_all_bad_config_is_usage_error(self, tmp_path, text, key):
+    def test_run_all_bad_config_is_usage_error(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 2
-        assert key in result.output
+        status, _, err = qmbh(capsys, "run-all", "--config", cfg, "--out", tmp_path / "o")
+        assert status == 2
+        assert key in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("zbw.sigma = 0\n", "zbw: parameter 'sigma'"),
         ("only = ring-model\nkn-fields.r = 0\n", "kn-fields: parameter 'r'"),
     ], ids=["selected", "outside-only"])
-    def test_run_all_bad_value_leaves_previous_output(self, tmp_path, text, message):
+    def test_run_all_bad_value_leaves_previous_output(self, tmp_path, capsys, text,
+                                                      message):
         # every override is checked before any directory is touched, also one
         # for an experiment that `only` leaves out
         out = tmp_path / "o"
-        assert CliRunner().invoke(cli.main, ["run-all", "--out", str(out)]).exit_code == 0
+        assert qmbh(capsys, "run-all", "--out", out)[0] == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 2
-        assert message in result.output
+        status, _, err = qmbh(capsys, "run-all", "--config", cfg, "--out", out)
+        assert status == 2
+        assert message in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("exp_id, key, raw", [
@@ -744,61 +816,88 @@ class TestCli:
         ("charge-confinement", "elements", "1024"),
         ("neg-energy-scan", "widths", "0.5:1:2:5:10:100"),
         ("bohm-vortex", "profile_tol", "0.02"), ("zbw", "suppress_factor", "10")])
-    def test_constant_is_usage_error(self, tmp_path, exp_id, key, raw):
+    def test_constant_is_usage_error(self, tmp_path, capsys, exp_id, key, raw):
         out = tmp_path / "o"
-        result = CliRunner().invoke(
-            cli.main, ["run", exp_id, f"--{key}", raw, "--out", str(out)])
-        assert result.exit_code == 2
-        assert f"unknown parameter {key!r}" in result.output
+        status, _, err = qmbh(capsys, "run", exp_id, f"--{key}", raw, "--out", out)
+        assert status == 2
+        assert f"unknown parameter {key!r}" in err
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{exp_id}.{key} = {raw}\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 2
-        assert f"override '{exp_id}.{key}'" in result.output
+        status, _, err = qmbh(capsys, "run-all", "--config", cfg, "--out", out)
+        assert status == 2
+        assert f"override '{exp_id}.{key}'" in err
         assert not out.exists()
 
-    def test_run_all_empty_filter_warns(self, tmp_path):
+    def test_run_all_empty_filter_warns(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only =\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 0
-        assert "zero experiments" in result.output
+        status, _, err = qmbh(capsys, "run-all", "--config", cfg, "--out", tmp_path / "o")
+        assert status == 0
+        assert "zero experiments" in err
 
-    def test_run_is_run_all_of_one(self, tmp_path):
-        result = CliRunner().invoke(
-            cli.main, ["run", "zbw", "--sigma", "5", "--out", str(tmp_path / "one")])
-        assert result.exit_code == 0
+    def test_run_is_run_all_of_one(self, tmp_path, capsys):
+        status, _, _ = qmbh(capsys, "run", "zbw", "--sigma", "5", "--out", tmp_path / "one")
+        assert status == 0
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("only = zbw\nzbw.sigma = 5\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli.main, ["run-all", "--config", str(cfg), "--out", str(tmp_path / "all")])
-        assert result.exit_code == 0
+        status, _, _ = qmbh(capsys, "run-all", "--config", cfg, "--out", tmp_path / "all")
+        assert status == 0
         tables = [{p.name: p.read_bytes() for p in (tmp_path / root / "zbw").iterdir()
                    if p.name != "report.json"} for root in ("one", "all")]
         assert tables[0] and tables[0] == tables[1]
 
-    def test_report_command(self, tmp_path):
+    @pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, config):
+        status, out, err = qmbh(capsys, "run-all", "--config", tmp_path / config,
+                                "--out", tmp_path / "o")
+        assert status == 2
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_fails_each_experiment(self, tmp_path, capsys):
+        # the OSError from making each directory is that experiment's error,
+        # and run-all goes on to the next
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"")
+        status, out, _ = qmbh(capsys, "run", "ring-model", "--out", afile)
+        assert status == 1
+        assert "error: ring-model: NotADirectoryError" in out
+        assert out.endswith("ring-model: fail\n")
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("only = kn-horizon, ring-model\n", encoding="utf-8")
+        status, out, _ = qmbh(capsys, "run-all", "--config", cfg, "--out", afile)
+        assert status == 2
+        assert out.splitlines()[1:] == ["ring-model,2,2,fail", "kn-horizon,3,3,fail"]
+        assert afile.read_bytes() == b""
+
+    @pytest.mark.parametrize("command", [["run", "ring-model"], ["run-all"]],
+                             ids=["run", "run-all"])
+    def test_empty_out_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        status, out, err = qmbh(capsys, *command, "--out", "")
+        assert status == 2
+        assert out == "" and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_command(self, tmp_path, capsys):
         out = tmp_path / "o"
         experiments.run_all(out, only=["ring-model", "kn-horizon"])
-        result = CliRunner().invoke(cli.main, ["report", str(out)])
-        assert result.exit_code == 0
-        assert "kn-horizon,3,3,pass" in result.output
-        assert "ring-model,2,2,pass" in result.output
+        status, stdout, _ = qmbh(capsys, "report", out)
+        assert status == 0
+        assert "kn-horizon,3,3,pass" in stdout
+        assert "ring-model,2,2,pass" in stdout
 
     @pytest.mark.parametrize("damage, error", [
         (lambda text: text[:len(text) // 2], "JSONDecodeError"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                   if k != "claims"}), "KeyError"),
     ], ids=["truncated", "missing-claims"])
-    def test_report_command_names_a_bad_record(self, tmp_path, damage, error):
+    def test_report_command_names_a_bad_record(self, tmp_path, capsys, damage, error):
         out = tmp_path / "o"
         experiments.run_all(out, only=["ring-model", "kn-horizon"])
         bad = out / "kn-horizon" / "report.json"
         bad.write_text(damage(bad.read_text(encoding="utf-8")), encoding="utf-8")
-        result = CliRunner().invoke(cli.main, ["report", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        lines = result.output.splitlines()
+        status, stdout, err = qmbh(capsys, "report", out)
+        assert status == 1
+        lines = (stdout + err).splitlines()
         assert len(lines) == 1 and str(bad) in lines[0] and error in lines[0]
