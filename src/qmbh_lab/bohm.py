@@ -37,17 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constants import require
+
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
 
 
 def centered_axis(n, dx):
     """Coordinates of the n nodes of spacing dx along one axis, centred on the box."""
     return (np.arange(n) - n // 2) * dx
-
-
-def _check_power_of_two_size(n):
-    if n < 64 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 64, got {n}")
 
 
 class WaveGrid2D:
@@ -57,12 +54,11 @@ class WaveGrid2D:
 
     def __init__(self, psi, dx):
         self.psi = np.asarray(psi, dtype=np.complex128)
-        self.dx = dx
+        self.dx = require("dx", dx)
         if self.psi.ndim != 2 or self.psi.shape[0] != self.psi.shape[1]:
             raise ValueError("psi must be a square 2-D array")
-        _check_power_of_two_size(self.psi.shape[0])
-        if not (0 < self.dx < math.inf):
-            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        if self.n < 64 or (self.n & (self.n - 1)) != 0:
+            raise ValueError(f"grid size must be a power of two >= 64, got {self.n}")
         if not np.all(np.isfinite(self.psi.view(np.float64))):
             raise ValueError("psi contains NaN or Inf")
 
@@ -74,17 +70,12 @@ class WaveGrid2D:
         """Node coordinates along one axis, centered on the box."""
         return centered_axis(self.n, self.dx)
 
-    def norm(self):
-        return float(np.sum(np.abs(self.psi) ** 2) * self.dx**2)
-
 
 def gaussian_factor(n, dx, sigma, center=0.0, k=0.0):
     """One axis's factor exp(-(x - center)^2/(4 sigma^2) + i k x) of a
     `gaussian_state`, on the n centred nodes of spacing dx; unnormalized."""
-    for name, value in (("dx", dx), ("sigma", sigma)):
-        if not (0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    x = centered_axis(n, dx)
+    require("sigma", sigma)
+    x = centered_axis(n, require("dx", dx))
     return np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k * x)
 
 
@@ -269,10 +260,6 @@ class LoopPath:
         steps = np.diff(self.ij, axis=0, append=self.ij[:1])  # last to first included
         if not (np.abs(steps).sum(axis=1) == 1).all():
             raise ValueError("loop segments must follow grid edges")
-
-    def segments(self):
-        closed = self.nodes + [self.nodes[0]]
-        return list(zip(closed[:-1], closed[1:]))
 
     @classmethod
     def rectangle(cls, i0, j0, i1, j1):

@@ -9,6 +9,16 @@ import math
 from collections import namedtuple
 
 
+def require(name, value, lo=0.0):
+    """`value` if lo < value < inf, else a ValueError that names it: the one
+    range check of the library's entry points. It is written as
+    `not lo < value < inf`, so that a nan fails it."""
+    if not lo < value < math.inf:
+        above = "" if lo == -math.inf else f" and > {lo:g}"
+        raise ValueError(f"{name} must be finite{above}, got {value!r}")
+    return value
+
+
 class Constants(namedtuple("Constants", "hbar c G e esu_ref",
                            defaults=(1.054571817e-27, 2.99792458e10, 6.67430e-8,
                                      4.80320471e-10, 1.0))):
@@ -21,8 +31,7 @@ class Constants(namedtuple("Constants", "hbar c G e esu_ref",
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if value <= 0:
-                raise ValueError(f"constant {name} must be strictly positive")
+            require(name, value)
         return self
 
 

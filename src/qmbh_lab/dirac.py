@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constants import require
+
 
 class DiracPacket1D(namedtuple("DiracPacket1D", "k a")):
     """Two-component spinor amplitudes a[:, j] on a uniform momentum grid k[j],
@@ -69,11 +71,9 @@ def build_gaussian(sigma_x, x0, p0, seed):
     The 1024-point grid covers p0 +- 8/sigma_x; the envelope at the edge is
     exp(-64) of the peak.
     """
-    if not (0 < sigma_x < math.inf):
-        raise ValueError(f"sigma_x must be positive and finite, got {sigma_x!r}")
-    for name, value in (("x0", x0), ("p0", p0)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    require("sigma_x", sigma_x)
+    require("x0", x0, -math.inf)
+    require("p0", p0, -math.inf)
     seed = np.asarray(seed, dtype=np.complex128).reshape(2)
     if np.all(seed == 0):
         raise ValueError("seed spinor must be nonzero")
@@ -246,8 +246,7 @@ def _bloch_traces(packets, t_max, samples):
     as row-major (j, r) blocks; built by rotation, the tables take about
     log2(samples) n_w exponentials, not samples n_w. The phases 2E(k) t depend
     on the k grid only, so the packets share the tables."""
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    require("t_max", t_max)
     if samples < 16:
         raise ValueError("need at least 16 samples")
     hx, hz, e = _hamiltonian_fields(packets[0])
@@ -313,12 +312,11 @@ def time_average(trace, T):
     measured against the input trace's oscillation: the refit reuses its
     fitted Omega rather than hunting for a new peak in the averaged data.
     """
-    if T <= 0:
-        raise ValueError("window must be positive")
     t = trace.times
-    span = float(t[-1] - t[0])
-    if T >= span / 4:
-        raise ValueError("window must be shorter than a quarter of the trace")
+    quarter = float(t[-1] - t[0]) / 4
+    if require("T", T) >= quarter:
+        raise ValueError(f"T must be shorter than a quarter of the trace "
+                         f"({quarter:g}), got {T!r}")
     dt = float(t[1] - t[0])
     half = int(round(T / (2 * dt)))
     window = 2 * half + 1

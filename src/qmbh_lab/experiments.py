@@ -9,11 +9,12 @@ it is and puts only report.json into any other. Otherwise `run` makes the
 directory, deletes the tables that its previous report.json lists, writes
 each table to a temporary file that is then renamed over the final name, and
 writes report.json last; an OSError there is recorded as the experiment's
-error, like a runner's. report.json is compact JSON with each claim on a
-line of its own.
+error, like a runner's, and the files written up to it are removed.
+report.json is compact JSON with each claim on a line of its own.
 Running the same configuration twice must produce byte-identical tables.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import bohm, dirac, hopping, kerr_newman, lin_gravity
 from .constants import (BUILTIN_PARTICLES, CGS, RatioCheck, compton_wavelength,
-                        coupling_identities, extreme_scales, half_compton_wavelength,
-                        monopole_strength)
+                        coupling_identities, extreme_scales, gravity_em_ratio,
+                        half_compton_wavelength, monopole_strength)
 
 
 def fmt(x):
@@ -184,7 +185,7 @@ def _run_constants_report(params):
     p = BUILTIN_PARTICLES["electron"]
     claims = [coupling_identities(p)[0],
               RatioCheck.relative("charge-to-gravity-magnitude",
-                                  p.charge**2 / (CGS.G * p.mass**2), 4.17e42, 0.01)]
+                                  gravity_em_ratio(p).computed, 4.17e42, 0.01)]
 
     rows = [[c.id, c.computed, c.reference, c.tolerance_kind, c.tolerance,
              str(c.passed)] for c in claims]
@@ -712,7 +713,8 @@ def run(spec):
     any of these steps a directory that holds a report.json is left as it is;
     otherwise make the directory, clear the tables of the report.json already
     there, write the new tables, then report.json. An OSError there fails the
-    experiment and is recorded in the report returned."""
+    experiment, is recorded in the report returned and removes the files
+    written in this call."""
     exp = EXPERIMENTS[spec.id]
     outdir = os.fspath(spec.output_dir)
     report_path = os.path.join(outdir, "report.json")
@@ -728,13 +730,20 @@ def run(spec):
                                     time.perf_counter() - start, error=error)
     if error and os.path.exists(report_path):
         return report
+    texts["report.json"] = _report_json(report)
+    created = []
     try:
         os.makedirs(outdir, exist_ok=True)
         _clear_previous_tables(outdir)
         for name, text in texts.items():
-            atomic_write_text(os.path.join(outdir, name), text)
-        atomic_write_text(report_path, _report_json(report))
+            path = os.path.join(outdir, name)
+            created.append(path + ".tmp")
+            atomic_write_text(path, text)
+            created.append(path)
     except OSError as exc:  # recorded like a runner's failure
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         return report._replace(status="fail",
                                error=f"{spec.id}: {type(exc).__name__}: {exc}")
     return report
@@ -791,7 +800,10 @@ def parse_config(path):
     """`key = value` per line, `#` comments, UTF-8. Returns raw string pairs;
     a key given twice raises ValueError."""
     pairs = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import RatioCheck
+from .constants import RatioCheck, require
 
 
 class ChainSpec(namedtuple("ChainSpec", "n_sites b e0 a")):
@@ -36,9 +36,7 @@ class ChainSpec(namedtuple("ChainSpec", "n_sites b e0 a")):
         if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 16:
             raise ValueError(f"n_sites must be an integer >= 16, got {self.n_sites!r}")
         for name, lo in (("b", 0), ("a", 0), ("e0", -math.inf)):
-            value = getattr(self, name)
-            if not (lo < value < math.inf):
-                raise ValueError(f"{name} must be finite and > {lo}, got {value!r}")
+            require(name, getattr(self, name), lo)
         return self
 
     def coordinates(self):
@@ -104,6 +102,7 @@ def dispersion(spec, fit_window=0.1):
     in closed form the projection of E on the part of k^2 outside 1 and k, gives
     the curvature mass m'_fit = hbar^2 / (d2E/dk2).
     """
+    require("fit_window", fit_window)
     k = mode_wavenumbers(spec)
     energies = spectrum(spec)
     sel = np.abs(k * spec.b) <= fit_window
@@ -125,9 +124,7 @@ class NonlocalKernel(namedtuple("NonlocalKernel", "r_w w")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("r_w", "w"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)!r}")
+            require(name, getattr(self, name))
         return self
 
     def u(self, x):
@@ -167,6 +164,7 @@ def self_consistent_mass(spec, kernel, psi0, tol=1e-8, max_iter=500):
     integral of psi0. Returns (EmergentMass, final AmplitudeVector, history of
     (iter, m0, delta)); the composite mass is in natural units, c = 1.
     """
+    require("tol", tol)
     x = spec.coordinates()
     u = kernel.u(x)
     half_extent = (spec.n_sites // 2) * spec.b

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import CGS
+from .constants import CGS, require
 
 
 class KNParams(namedtuple("KNParams", "mass charge angular_momentum")):
@@ -34,8 +34,7 @@ class KNParams(namedtuple("KNParams", "mass charge angular_momentum")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (0 < self.mass < math.inf):
-            raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
+        require("mass", self.mass)
         return self
 
     @property
@@ -84,7 +83,7 @@ def far_fields(p, r, theta):
     `theta` may be an array of colatitudes; the dipole components broadcast
     over it."""
     near = 100.0 * max(p.a_star, p.m_star)
-    if r < near:
+    if require("r", r) < near:
         raise ValueError(f"far-field request at r={r:g} cm inside the near zone (<{near:g})")
     q, a = p.charge, p.a_star
     return FarFieldSample(
@@ -153,9 +152,8 @@ def metric_slice(a, m, e, r, theta, lam):
     ratio of the luminal azimuthal rate (a dphi'/dt = 1) to lam: 1/lam,
     equal to 2 on the lam = 1/2 slice.
     """
-    if not (0 < a < math.inf):
-        raise ValueError(f"a must be a positive and finite spin length, got {a!r}")
-    if lam == 0:
+    require("a", a)
+    if require("lam", lam, -math.inf) == 0:
         raise ValueError("lam must be nonzero")
     delta = r * r - 2 * m * r + a * a + m * m + e * e
     rho2 = r * r + (a * math.cos(theta)) ** 2

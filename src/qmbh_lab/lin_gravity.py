@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import CGS, RatioCheck
+from .constants import CGS, RatioCheck, half_compton_wavelength, require
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -54,8 +54,7 @@ class ShellSource(NamedTuple):
         if n_elements < least:
             raise ValueError(f"n_elements must be >= {least}, got {n_elements!r}")
         for name, value in (("mass", mass), ("radius", radius), ("speed", speed)):
-            if not (0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require(name, value)
 
     @classmethod
     def ring(cls, mass, radius, n_elements, speed):
@@ -79,11 +78,8 @@ class ShellSource(NamedTuple):
                    np.full(n_elements, mass / n_elements))
 
 
-def default_radius(p):
-    """Shell radius hbar / (2 m c) for particle p."""
-    if p.mass <= 0:
-        raise ValueError("massless particle has no Compton-scale shell")
-    return CGS.hbar / (2 * p.mass * CGS.c)
+# the shell radius hbar / (2 m c) of particle p
+default_radius = half_compton_wavelength
 
 
 def _exact_sums(a):
@@ -166,10 +162,12 @@ def far_potential(s, r, theta=0.0):
     """Direct-sum gravitational potential at colatitude theta and distance r,
     a float for a scalar r or an array for a 1-D array of radii."""
     radii = np.asarray(r, dtype=np.float64)
+    flat = radii.reshape(-1)
+    for value in flat.tolist():
+        require("r", value)
     if radii.min() < 100 * s.radius:
         raise ValueError(f"probe at r={radii.min():g} is inside the near zone "
                          f"(<{100 * s.radius:g})")
-    flat = radii.reshape(-1)
     phi = -CGS.G * _inverse_distance_sums(s, flat * math.sin(theta), flat * math.cos(theta))
     return phi if radii.ndim else float(phi[0])
 
@@ -252,9 +250,7 @@ def confinement_expansion(s, mass, r_samples):
     r = np.asarray(r_samples, dtype=np.float64)
     if r.size < 4 or r.min() == r.max():
         raise ValueError(f"need at least 4 sample radii, 2 distinct; got {r.tolist()}")
-    if not (0 < mass < math.inf):
-        raise ValueError(f"mass must be positive and finite, got {mass!r}")
-    r_m = 1 / (2 * mass)
+    r_m = 1 / (2 * require("mass", mass))
     if float(r.min()) < 0.1 * r_m or float(r.max()) > 10 * r_m:
         raise ValueError("samples must lie within [0.1, 10] x hbar/(2 M c)")
     omega_nominal = 2 * mass

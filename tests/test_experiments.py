@@ -438,7 +438,8 @@ class TestRun:
                                               ("report", "IsADirectoryError")])
     def test_write_failure_is_recorded(self, tmp_path, where, error):
         # an OSError while making or writing the directory fails this one
-        # experiment, as a runner's exception does, and is not raised
+        # experiment, as a runner's exception does, and is not raised; the
+        # files written before it are removed
         if where == "parent":
             (tmp_path / "afile").write_bytes(b"")
             outdir = tmp_path / "afile" / "kn-fields"
@@ -449,6 +450,10 @@ class TestRun:
         assert report.status == "fail"
         assert report.error.startswith(f"kn-fields: {error}")
         assert [c.id for c in report.claims] == DEFAULT_CLAIM_IDS["kn-fields"]
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["afile"] if where == "parent" else ["report.json"])
+        if where == "report":
+            assert [p.name for p in (tmp_path / "report.json").iterdir()] == ["x"]
 
     def test_report_round_trip(self, tmp_path):
         report = experiments.run(
@@ -635,6 +640,13 @@ class TestConfigParsing:
         cfg.write_text("zbw.sigma 5.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key = value"):
             experiments.parse_config(cfg)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError) as info:
+            experiments.parse_config(cfg)
+        assert str(info.value).startswith(f"{cfg}: ")
 
 
 class TestFloatSerialization:

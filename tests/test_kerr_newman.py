@@ -174,5 +174,5 @@ class TestMetricSlice:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="lam"):
             kn.metric_slice(1.0, 0.0, 0.0, 1.0, math.pi / 2, 0.0)
-        with pytest.raises(ValueError, match="spin length"):
+        with pytest.raises(ValueError, match="^a must be"):
             kn.metric_slice(0.0, 0.0, 0.0, 1.0, math.pi / 2, 0.5)
