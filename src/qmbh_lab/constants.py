@@ -39,18 +39,23 @@ CGS = Constants()
 
 
 class ParticleSpec(namedtuple("ParticleSpec", "name mass charge spin")):
-    """Named particle; the anchor for every derived scale. Mass in g, charge
-    in esu (signed), spin a multiple of hbar: 0, 1/2, 1, ..."""
+    """Named particle; the anchor for every derived scale. Mass in g, finite
+    and > 0 (every scale derived here divides by it), charge in esu (signed),
+    spin a multiple of hbar: 0, 1/2, 1, ..."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (0 <= self.mass < math.inf):
-            raise ValueError(f"mass must be non-negative and finite, got {self.mass!r}")
+        require("mass", self.mass)
         if self.spin < 0 or round(2 * self.spin) != 2 * self.spin:
             raise ValueError("spin must be a non-negative multiple of 1/2")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that `_replace` checks its values as the constructor does
+        return cls(*iterable)
 
 
 # Built-in catalog. Masses CODATA 2018; charm taken at 1.8 GeV/c^2 with
@@ -59,7 +64,6 @@ BUILTIN_PARTICLES = {
     "electron": ParticleSpec("electron", 9.1093837015e-28, -4.80320471e-10, 0.5),
     "proton": ParticleSpec("proton", 1.67262192369e-24, 4.80320471e-10, 0.5),
     "muon": ParticleSpec("muon", 1.883531627e-25, -4.80320471e-10, 0.5),
-    "neutrino": ParticleSpec("neutrino", 0.0, 0.0, 0.5),
     "charm": ParticleSpec("charm", 1.8 * 1.78266192e-24, 2 * 4.80320471e-10 / 3, 0.5),
 }
 
@@ -131,16 +135,8 @@ class RatioCheck(namedtuple("RatioCheck",
                    d["tolerance"], note=d.get("note", ""))
 
 
-def _require_massive(p):
-    if p.mass <= 0:
-        raise ValueError(
-            f"{p.name}: massless particle admits no Compton-scale derivation"
-        )
-
-
 def compton_wavelength(p):
     """Reduced Compton wavelength hbar/(m c), cm."""
-    _require_massive(p)
     return CGS.hbar / (p.mass * CGS.c)
 
 
@@ -151,7 +147,6 @@ def half_compton_wavelength(p):
 
 def classical_radius(p):
     """Classical charge radius e^2/(m c^2), cm."""
-    _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: classical radius undefined for zero charge")
     return p.charge**2 / (p.mass * CGS.c**2)
@@ -161,7 +156,6 @@ def coupling_identities(p):
     """hbar*c/e^2, the rounded-length variant, and the e*Phi = m*c^2 shell
     identity.
     """
-    _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: coupling checks undefined for zero charge")
     direct = CGS.hbar * CGS.c / p.charge**2
@@ -179,7 +173,6 @@ def coupling_identities(p):
 
 def gravity_em_ratio(p):
     """e^2/(G m^2) against the heuristic 1e40, within 3 decades."""
-    _require_massive(p)
     if p.charge == 0:
         raise ValueError(f"{p.name}: ratio undefined for zero charge")
     computed = p.charge**2 / (CGS.G * p.mass**2)
@@ -188,14 +181,13 @@ def gravity_em_ratio(p):
 
 def monopole_strength(n):
     """Pole strength mu = n hbar c / (2 e), esu-equivalent."""
-    if n < 1 or int(n) != n:
-        raise ValueError("winding number n must be a positive integer")
+    if require("n", n) != int(n):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     return 0.5 * n * CGS.hbar * CGS.c / CGS.e
 
 
 def extreme_scales(p):
     """Shortest time and length scales and the Compton momentum: a dict with
     t = hbar/(m c^2), x = c t and momentum = m c."""
-    _require_massive(p)
     t = CGS.hbar / (p.mass * CGS.c**2)
     return {"t": t, "x": CGS.c * t, "momentum": p.mass * CGS.c}

@@ -90,13 +90,6 @@ def normalized(packet):
     return packet._replace(a=packet.a / math.sqrt(n))
 
 
-def _hamiltonian_fields(packet):
-    """(hx, hz, E) of H(k) = hx sigma_x + hz sigma_z: hx = k, hz = 1."""
-    hx = packet.k
-    hz = np.ones_like(hx)
-    return hx, hz, np.hypot(hx, hz)
-
-
 class EnergySplit(NamedTuple):
     w_plus: float
     w_minus: float
@@ -104,11 +97,12 @@ class EnergySplit(NamedTuple):
 
 def energy_fractions(packet):
     """Weights in the +-E(k) branches via the projectors (1 +- H/E)/2."""
-    hx, hz, e = _hamiltonian_fields(packet)
+    k = packet.k
+    e = np.hypot(k, 1.0)
     a0, a1 = packet.a
-    # a† (H/E) a per mode, real by hermiticity
-    h_expect = (np.abs(a0) ** 2 - np.abs(a1) ** 2) * hz / e \
-        + 2 * np.real(np.conj(a0) * a1) * hx / e
+    # a† (H/E) a per mode, real by hermiticity, for H = k sigma_x + sigma_z
+    h_expect = (np.abs(a0) ** 2 - np.abs(a1) ** 2) / e \
+        + 2 * np.real(np.conj(a0) * a1) * k / e
     dens = np.abs(a0) ** 2 + np.abs(a1) ** 2
     norm = float(np.sum(dens) * packet.dk)
     w_plus = 0.5 * float(np.sum(dens + h_expect) * packet.dk) / norm
@@ -119,8 +113,8 @@ def project_branch(packet, sign):
     """Project onto the positive (+1) or negative (-1) energy branch, renormalized."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    hx, hz, e = _hamiltonian_fields(packet)
-    nx, nz = hx / e, hz / e
+    e = np.hypot(packet.k, 1.0)
+    nx, nz = packet.k / e, 1 / e
     a0, a1 = packet.a
     b0 = 0.5 * ((1 + sign * nz) * a0 + sign * nx * a1)
     b1 = 0.5 * (sign * nx * a0 + (1 - sign * nz) * a1)
@@ -249,8 +243,9 @@ def _bloch_traces(packets, t_max, samples):
     require("t_max", t_max)
     if samples < 16:
         raise ValueError("need at least 16 samples")
-    hx, hz, e = _hamiltonian_fields(packets[0])
-    nx, nz = hx / e, hz / e
+    k = packets[0].k
+    e = np.hypot(k, 1.0)
+    nx, nz = k / e, 1 / e
     omega, column = np.unique(2 * e, return_inverse=True)
     times = np.linspace(0.0, t_max, samples)
     dt = times[1] - times[0]

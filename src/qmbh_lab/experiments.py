@@ -312,7 +312,7 @@ def _run_ring_model(params):
     over RING_ELEMENTS elements. On a ring m c (closed-integral ds) = 2 pi
     S_z, so the action n h/2 holds when S_z = hbar/2."""
     p = BUILTIN_PARTICLES[params["particle"]]
-    rows = [[n, p.mass, n * CGS.hbar / (2 * p.mass * CGS.c), p.mass * CGS.c**2]
+    rows = [[n, p.mass, n * half_compton_wavelength(p), p.mass * CGS.c**2]
             for n in (1, 2)]
     _, _, r1, energy = rows[0]
     ring = lin_gravity.ShellSource.ring(p.mass, r1, RING_ELEMENTS, CGS.c)
@@ -623,9 +623,7 @@ def _run_charge_confinement(params):
     }
 
 
-# The particle experiments take the massive catalog entries: the Compton
-# scales, shell radii and horizon widths all divide by the mass.
-MASSIVE = tuple(name for name, p in BUILTIN_PARTICLES.items() if p.mass > 0)
+MASSIVE = tuple(BUILTIN_PARTICLES)
 PARTICLE = Param("electron", choices=MASSIVE)
 # hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
 SITES = (128, 4096)

@@ -210,6 +210,7 @@ def emergent_hamiltonian_check(em, p_max):
     """
     if not em.converged:
         raise ValueError("emergent mass did not converge; check the fixed point")
+    require("p_max", p_max)
     m = em.m
     p = np.linspace(-p_max, p_max, CHECK_SAMPLES)
     e_nr = p**2 / (2 * m) + m

@@ -85,6 +85,9 @@ def far_fields(p, r, theta):
     near = 100.0 * max(p.a_star, p.m_star)
     if require("r", r) < near:
         raise ValueError(f"far-field request at r={r:g} cm inside the near zone (<{near:g})")
+    finite = np.isfinite(theta)
+    if not finite.all():
+        raise ValueError(f"theta must be finite, got {float(np.extract(~finite, theta)[0])!r}")
     q, a = p.charge, p.a_star
     return FarFieldSample(
         r=r,
@@ -153,6 +156,8 @@ def metric_slice(a, m, e, r, theta, lam):
     equal to 2 on the lam = 1/2 slice.
     """
     require("a", a)
+    for name, value in (("m", m), ("e", e), ("r", r), ("theta", theta)):
+        require(name, value, -math.inf)
     if require("lam", lam, -math.inf) == 0:
         raise ValueError("lam must be nonzero")
     delta = r * r - 2 * m * r + a * a + m * m + e * e

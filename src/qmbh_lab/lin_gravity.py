@@ -165,6 +165,7 @@ def far_potential(s, r, theta=0.0):
     flat = radii.reshape(-1)
     for value in flat.tolist():
         require("r", value)
+    require("theta", theta, -math.inf)
     if radii.min() < 100 * s.radius:
         raise ValueError(f"probe at r={radii.min():g} is inside the near zone "
                          f"(<{100 * s.radius:g})")

@@ -38,13 +38,6 @@ class TestComptonWavelength:
         assert half_compton_wavelength(ELECTRON) == pytest.approx(
             ELECTRON_COMPTON / 2, rel=1e-15)
 
-    def test_massless_rejected(self):
-        photon = ParticleSpec("photon", 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="massless"):
-            compton_wavelength(photon)
-        with pytest.raises(ValueError, match="massless"):
-            compton_wavelength(BUILTIN_PARTICLES["neutrino"])
-
     def test_scales_inversely_with_mass(self):
         # doubling the mass exactly halves the output (power-of-two scaling
         # commutes with rounding)
@@ -112,8 +105,8 @@ class TestGravityEmRatio:
         assert gravity_em_ratio(unit).computed == pytest.approx(1.0, rel=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            gravity_em_ratio(BUILTIN_PARTICLES["neutrino"])
+        with pytest.raises(ValueError, match="zero charge"):
+            gravity_em_ratio(ParticleSpec("neutral", ELECTRON.mass, 0.0, 0.5))
 
 
 class TestMonopoleStrength:
@@ -129,9 +122,9 @@ class TestMonopoleStrength:
         assert mu_over_e == pytest.approx(direct / 2, rel=1e-12)
         assert mu_over_e == pytest.approx(68.5, abs=0.1)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, math.nan, math.inf])
     def test_invalid_winding(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be"):
             monopole_strength(bad)
 
 
@@ -187,8 +180,16 @@ class TestParticleSpec:
         with pytest.raises(ValueError, match="mass"):
             ParticleSpec("x", -1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+    def test_mass_outside_domain_rejected(self, mass):
+        # every derived scale divides by the mass, so no particle, built or
+        # replaced, may have one outside (0, inf)
+        with pytest.raises(ValueError, match="^mass must be"):
+            ParticleSpec("x", mass, 0.0, 0.5)
+        with pytest.raises(ValueError, match="^mass must be"):
+            ELECTRON._replace(mass=mass)
+
 
 class TestCatalog:
     def test_builtin_membership(self):
-        assert set(BUILTIN_PARTICLES) == {"electron", "proton", "muon", "neutrino",
-                                          "charm"}
+        assert list(BUILTIN_PARTICLES) == ["electron", "proton", "muon", "charm"]

@@ -11,11 +11,13 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def evolved(packet, t):
-    """Oracle: exact per-mode evolution a(k, t) = exp(-i H(k) t) a(k), hbar = 1."""
-    hx, hz, e = dirac._hamiltonian_fields(packet)
+    """Oracle: exact per-mode evolution a(k, t) = exp(-i H(k) t) a(k), hbar = 1,
+    for H(k) = k sigma_x + sigma_z, whose branch energies are E = sqrt(k^2 + 1)."""
+    k = packet.k
+    e = np.sqrt(k**2 + 1.0)
     theta = e * t
     cos, sin = np.cos(theta), np.sin(theta)
-    nx, nz = hx / e, hz / e
+    nx, nz = k / e, 1.0 / e
     a0, a1 = packet.a
     b0 = (cos - 1j * sin * nz) * a0 + (-1j * sin * nx) * a1
     b1 = (-1j * sin * nx) * a0 + (cos + 1j * sin * nz) * a1

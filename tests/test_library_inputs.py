@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import bohm, dirac, hopping, kerr_newman, lin_gravity
-from qmbh_lab.constants import BUILTIN_PARTICLES, Constants, ParticleSpec
+from qmbh_lab.constants import (BUILTIN_PARTICLES, Constants, ParticleSpec,
+                                monopole_strength)
 
 NAN, INF = math.nan, math.inf
 
@@ -74,7 +75,9 @@ SPECIAL = st.sampled_from([NAN, INF, -INF])
 POSITIVE = SPECIAL | st.floats(max_value=0.0)            # (0, inf)
 FINITE = SPECIAL                                          # (-inf, inf)
 NONZERO = SPECIAL | st.sampled_from([0.0, -0.0])          # finite and != 0
-NON_NEGATIVE = SPECIAL | st.floats(max_value=0.0, exclude_max=True)
+# positive integers given as floats: also the non-integers above 1
+WINDING = POSITIVE | st.floats(1.0, 1e6, exclude_min=True).filter(
+    lambda v: not v.is_integer())
 
 
 def below(hi):
@@ -92,17 +95,22 @@ PACKET = dirac.build_gaussian(1.0, 0.0, 0.0, (1, 1))
 TRACE = dirac.mean_position_trace(PACKET, 16 * math.pi, 256)
 RING = lin_gravity.ShellSource.ring(1.0, 1.0, 64, 1.0)
 SPAN = float(TRACE.times[-1] - TRACE.times[0])
+KN_ELECTRON = kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES["electron"])
 
 
 def far_potential_among_good_radii(r):
     return lin_gravity.far_potential(RING, np.array([1e3, r, 1e4]))
 
 
+def far_fields_among_good_colatitudes(theta):
+    return kerr_newman.far_fields(KN_ELECTRON, 1e-6, np.array([0.5, theta, 2.0]))
+
+
 # (entry point, a valid call's arguments, the domain of each checked argument)
 ENTRY_POINTS = [
     (Constants, {}, {name: POSITIVE for name in Constants._fields}),
-    (ParticleSpec, dict(name="x", mass=1.0, charge=0.0, spin=0.5),
-     {"mass": NON_NEGATIVE}),
+    (ParticleSpec, dict(name="x", mass=1.0, charge=0.0, spin=0.5), {"mass": POSITIVE}),
+    (monopole_strength, dict(n=1), {"n": WINDING}),
     (bohm.WaveGrid2D, dict(psi=np.ones((64, 64)), dx=0.1), {"dx": POSITIVE}),
     (bohm.gaussian_factor, dict(n=64, dx=0.1, sigma=1.0),
      {"dx": POSITIVE, "sigma": POSITIVE}),
@@ -123,21 +131,27 @@ ENTRY_POINTS = [
      dict(spec=CHAIN, kernel=hopping.NonlocalKernel.for_chain(CHAIN, 4.0),
           psi0=hopping.AmplitudeVector(np.ones(CHAIN.n_sites)), tol=1e-8),
      {"tol": POSITIVE}),
+    (hopping.emergent_hamiltonian_check,
+     dict(em=hopping.EmergentMass(m0=1.0, m_prime=1.0, iterations=1, converged=True),
+          p_max=0.1),
+     {"p_max": POSITIVE}),
     (kerr_newman.KNParams, dict(mass=1.0, charge=1.0, angular_momentum=1.0),
      {"mass": POSITIVE}),
-    (kerr_newman.far_fields,
-     dict(p=kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES["electron"]),
-          r=1e-6, theta=1.0),
-     {"r": POSITIVE}),
+    (kerr_newman.far_fields, dict(p=KN_ELECTRON, r=1e-6, theta=1.0),
+     {"r": POSITIVE, "theta": FINITE}),
+    (far_fields_among_good_colatitudes, dict(theta=1.0), {"theta": FINITE}),
+    (kerr_newman.div_b_residual, dict(p=KN_ELECTRON, r=1e-6, theta=1.0),
+     {"theta": FINITE}),
     (kerr_newman.metric_slice, dict(a=1.0, m=0.0, e=0.0, r=1.0, theta=math.pi / 2, lam=0.5),
-     {"a": POSITIVE, "lam": NONZERO}),
+     {"a": POSITIVE, "m": FINITE, "e": FINITE, "r": FINITE, "theta": FINITE,
+      "lam": NONZERO}),
     (lin_gravity.ShellSource.ring, dict(mass=1.0, radius=1.0, n_elements=16, speed=1.0),
      {"mass": POSITIVE, "radius": POSITIVE, "n_elements": at_least(3),
       "speed": POSITIVE}),
     (lin_gravity.ShellSource.sphere, dict(mass=1.0, radius=1.0, n_elements=16, speed=1.0),
      {"mass": POSITIVE, "radius": POSITIVE, "n_elements": at_least(16),
       "speed": POSITIVE}),
-    (lin_gravity.far_potential, dict(s=RING, r=1e3), {"r": POSITIVE}),
+    (lin_gravity.far_potential, dict(s=RING, r=1e3), {"r": POSITIVE, "theta": FINITE}),
     (far_potential_among_good_radii, dict(r=1e3), {"r": POSITIVE}),
     (confinement, dict(mass=1.8), {"mass": POSITIVE}),
 ]

@@ -39,8 +39,6 @@ class TestSources:
             lg.ShellSource.ring(0.0, 1.0, 16, 1.0)
         with pytest.raises(ValueError):
             lg.ShellSource.sphere(1.0, 1.0, 4, 1.0)
-        with pytest.raises(ValueError, match="massless"):
-            lg.default_radius(BUILTIN_PARTICLES["neutrino"])
 
 
 class TestMassIntegral:

@@ -4,7 +4,7 @@ JOSS 4(43), 1891, 2019).
 Every parameter is one number or one name, and its domain an interval or a
 set. Every parameter of an experiment is drawn inside its domain (zbw's
 `samples` at no fewer than 20 per period), and at most one is then redrawn
-just outside it (or, for `particle`, a massless or unknown name). A run inside
+just outside it (or, for `particle`, a name the catalog lacks). A run inside
 every domain must end with a non-empty list of claims, all computed values
 finite; a run with one value outside must fail with a ValueError that names
 that parameter, before any claim is computed. With the one tolerance
