@@ -18,12 +18,16 @@ is the outer product of n one-dimensional exponentials; a Gaussian state is
 likewise the outer product of its 1-D envelope-times-plane-wave factors.
 So a product state fa(x) fb(y) stays a product under free evolution, and its
 density, velocity, flux divergence and Q follow from the 1-D factors
-(`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`);
-the 2-D functions remain for general states.
+(`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`).
+Their maxima and means over the n x n sites are taken in blocks of
+PRODUCT_ROWS rows, the means summed in NumPy's pairwise order, so they hold
+no n x n grid and give the bits of the full-grid forms; the 2-D functions
+remain for general states.
 The unit vortex tanh(r/r0) e^{i azimuth} is likewise built straight from its
-real R and S (`vortex_fields`), with no complex grid, on any box of nodes
-given by their coordinates; `vortex_state` and `decompose` of the full grid
-remain its reference.
+real R and S (`vortex_amplitude`, `vortex_phase`, and `vortex_fields` on a
+square box), with no complex grid, on any nodes given by their coordinates,
+so bohm-vortex streams it in blocks of rows; `vortex_state` and `decompose`
+of the full grid remain its reference.
 Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
 849, 1987). The velocity v of a `MadelungFields` is computed from S on
@@ -40,6 +44,11 @@ import numpy as np
 from .constants import require
 
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
+# rows per block of the product-state stages' n x n sums and maxima
+PRODUCT_ROWS = 64
+# longest run of values across blocks that `_streamed_mean` copies into one
+# array to sum; a longer one it splits
+JOINED_RUN = 8192
 
 
 def centered_axis(n, dx):
@@ -86,11 +95,22 @@ def gaussian_state(n, dx, sigma, center=(0.0, 0.0), k=(0.0, 0.0)):
     return WaveGrid2D(psi, dx)
 
 
+def vortex_amplitude(r, core_radius):
+    """R = tanh(r/r0) of the unit vortex at the distances r from its axis."""
+    R = r / require("core_radius", core_radius)
+    return np.tanh(R, out=R)
+
+
+def vortex_phase(x, y):
+    """S = azimuth of the unit vortex at the nodes (x_i, y_j), in (-pi, pi]."""
+    return np.arctan2(y[None, :], x[:, None])
+
+
 def vortex_state(n, dx, core_radius):
     """Unit-winding tanh-core vortex tanh(r/r0) exp(i * azimuth), unnormalized profile."""
     x = centered_axis(n, dx)
-    X, Y = x[:, None], x[None, :]
-    psi = np.tanh(np.hypot(X, Y) / core_radius) * np.exp(1j * np.arctan2(Y, X))
+    r = np.hypot(x[:, None], x[None, :])
+    psi = vortex_amplitude(r, core_radius) * np.exp(1j * vortex_phase(x, x))
     return WaveGrid2D(psi, dx)
 
 
@@ -100,11 +120,8 @@ def vortex_fields(x, dx, core_radius):
     directly, with no complex grid. On the full grid, x = centered_axis(n, dx),
     they match `decompose(vortex_state(...))` to 2.3e-16 in R (relative) and
     in S, with the same node mask."""
-    X, Y = x[:, None], x[None, :]
-    R = np.hypot(X, Y)
-    R /= core_radius
-    np.tanh(R, out=R)
-    return synthetic_fields(R, np.arctan2(Y, X), dx)
+    R = vortex_amplitude(np.hypot(x[:, None], x[None, :]), core_radius)
+    return synthetic_fields(R, vortex_phase(x, x), dx)
 
 
 def _half_wavenumbers(n, dx):
@@ -118,6 +135,8 @@ def _half_wavenumbers(n, dx):
 def _kinetic_phase(n, dx, dt, steps):
     """The 1-D factor exp(-i k^2 (steps dt) / 2) of the free propagator over
     `steps` steps of dt, in FFT order."""
+    require("dx", dx)
+    require("dt", dt, -math.inf)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
@@ -167,22 +186,33 @@ def _wrapped_gradient(S, dx, period):
 
     Each unit grid step is unwrapped into (-period/2, period/2]; cumulative
     two-step offsets are built from those, then combined with the 4th-order
-    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx). The terms are
-    formed in place, in the formula's order of operations, with at most three
-    grids besides S and the result alive at once.
+    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx). The steps are
+    taken once on S padded periodically by two nodes before and three after,
+    so each shifted step is a slice of them. The terms are formed in place,
+    in the formula's order of operations, with at most three grids besides S
+    and the result alive at once.
     """
     grad = np.empty((S.ndim,) + S.shape)
     for axis, g in enumerate(grad):
-        step = np.roll(S, -1, axis=axis)
-        step -= S
-        step -= period * np.ceil(step / period - 0.5)  # as _wrap_centered
-        d_minus = np.roll(step, 1, axis=axis)
-        np.negative(d_minus, out=d_minus)               # d_minus1
-        np.subtract(step, d_minus, out=g)
+        n = S.shape[axis]
+
+        def nodes(a, start, stop):
+            return a[(slice(None),) * axis + (slice(start, stop),)]
+
+        padded = np.concatenate((nodes(S, n - 2, n), S, nodes(S, 0, 3)), axis=axis)
+        step = np.diff(padded, axis=axis)  # the step from node i is at i + 2
+        del padded
+        wraps = np.divide(step, period)    # as _wrap_centered, in place
+        wraps -= 0.5
+        np.ceil(wraps, out=wraps)
+        wraps *= period
+        step -= wraps
+        del wraps
+        d_minus = np.negative(nodes(step, 1, n + 1))    # d_minus1
+        np.subtract(nodes(step, 2, n + 2), d_minus, out=g)
         g *= 8
-        np.subtract(d_minus, np.roll(step, 2, axis=axis), out=d_minus)  # d_minus2
-        d_plus2 = np.roll(step, -1, axis=axis)
-        np.add(step, d_plus2, out=d_plus2)
+        d_minus -= nodes(step, 0, n)                     # d_minus2
+        d_plus2 = np.add(nodes(step, 2, n + 2), nodes(step, 3, n + 3))
         d_plus2 -= d_minus
         g -= d_plus2
         g /= 12 * dx
@@ -248,30 +278,36 @@ class LoopPath:
     be nearest neighbours. `ij` holds them as an (n, 2) array.
     """
 
-    __slots__ = ("nodes", "ij")
+    __slots__ = ("ij",)
 
     def __init__(self, nodes):
-        self.nodes = nodes
-        if len(self.nodes) < 4:
+        if len(nodes) < 4:
             raise ValueError("loop needs at least 4 nodes")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("loop must be simple (no repeated nodes)")
-        self.ij = np.array(self.nodes)
+        self.ij = np.array(nodes)
         steps = np.diff(self.ij, axis=0, append=self.ij[:1])  # last to first included
         if not (np.abs(steps).sum(axis=1) == 1).all():
             raise ValueError("loop segments must follow grid edges")
 
+    @property
+    def nodes(self):
+        return list(map(tuple, self.ij.tolist()))
+
     @classmethod
     def rectangle(cls, i0, j0, i1, j1):
-        """Axis-aligned rectangle with corners (i0, j0) and (i1, j1), i0<i1, j0<j1."""
+        """Axis-aligned rectangle with corners (i0, j0) and (i1, j1), i0<i1, j0<j1,
+        built as its array of nodes: it is a loop by construction."""
         if not (i0 < i1 and j0 < j1):
             raise ValueError("need i0 < i1 and j0 < j1")
-        nodes = []
-        nodes += [(i, j0) for i in range(i0, i1)]
-        nodes += [(i1, j) for j in range(j0, j1)]
-        nodes += [(i, j1) for i in range(i1, i0, -1)]
-        nodes += [(i0, j) for j in range(j1, j0, -1)]
-        return cls(nodes)
+        di, dj = i1 - i0, j1 - j0
+        i = np.concatenate((np.arange(i0, i1), np.full(dj, i1), np.arange(i1, i0, -1),
+                            np.full(dj, i0)))
+        j = np.concatenate((np.full(di, j0), np.arange(j0, j1), np.full(di, j1),
+                            np.arange(j1, j0, -1)))
+        loop = object.__new__(cls)
+        loop.ij = np.stack((i, j), axis=1)
+        return loop
 
 
 class CirculationResult(NamedTuple):
@@ -349,9 +385,12 @@ def product_continuity_residual(fa, fb, dx, dt, steps):
 
     rho = ra^2 rb^2 and S = Sa(x) + Sb(y), so div(rho v) is
     (ra^2 va)' rb^2 + ra^2 (rb^2 vb)'. Nodes are not masked: there rho is
-    below 1e-16 of its peak, so the flux is too. Only the final maxima and
-    RMS use n x n grids, two real ones.
+    below 1e-16 of its peak, so the flux is too. rho_dot and div are formed
+    in blocks of PRODUCT_ROWS rows, each with the full grid's operations, and
+    the maxima and mean are taken over the blocks: no n x n grid is held.
     """
+    require("dt", dt)
+    require("steps", steps, 0)
     factors = []
     for f in (fa, fb):
         minus, plus = (np.abs(evolve_factor(f, dx, dt, s)) ** 2
@@ -363,18 +402,26 @@ def product_continuity_residual(fa, fb, dx, dt, steps):
         v = _wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0]
         factors.append((minus, rho, plus, _rfft_derivative(rho * v, dx, 1)))
     (am, a, ap, da), (bm, b, bp, db) = factors
-    rho_dot = np.outer(ap, bp)
-    div = np.outer(am, bm)
-    rho_dot -= div
-    rho_dot /= 2 * dt
-    np.outer(da, b, out=div)
-    for i in range(0, len(a), 64):
-        div[i:i + 64] += np.outer(a[i:i + 64], db)
-    # max |g| without a grid of |g|
-    scale = max(max(float(g.max()), -float(g.min())) for g in (rho_dot, div))
-    rho_dot += div
-    rho_dot **= 2
-    return float(np.sqrt(np.mean(rho_dot))) / scale
+    scale = 0.0
+
+    def squared_residual(rows):
+        nonlocal scale
+        rho_dot = np.outer(ap[rows], bp)
+        div = np.outer(am[rows], bm)
+        rho_dot -= div
+        rho_dot /= 2 * dt
+        np.outer(da[rows], b, out=div)
+        div += np.outer(a[rows], db)
+        # max |g| without a block of |g|
+        scale = max(scale, *(max(float(g.max()), -float(g.min())) for g in (rho_dot, div)))
+        rho_dot += div
+        rho_dot **= 2
+        return rho_dot.ravel()
+
+    blocks = (squared_residual(slice(i, i + PRODUCT_ROWS))
+              for i in range(0, len(a), PRODUCT_ROWS))
+    mean = _streamed_mean(blocks, len(a) * len(b))
+    return math.sqrt(mean) / scale
 
 
 def product_q_plus_v_std(r, dx, potential):
@@ -383,8 +430,13 @@ def product_q_plus_v_std(r, dx, potential):
 
     Q = q(x) + q(y) with q = -r''/(2 r), so Q + V = h(x) + h(y) with
     h = q + potential. Where r is below the node threshold q is not divided;
-    the sites kept are those where R is not below it, as in `decompose`.
+    the sites kept are those where R is not below it, as in `decompose`. The
+    amplitude is non-negative, so R's peak is r's squared. The kept sites
+    are found, and their mean and std taken, in blocks of PRODUCT_ROWS rows.
     """
+    require("dx", dx)
+    if not (r >= 0).all():
+        raise ValueError("amplitude r must be non-negative, with no nan")
     peak = float(r.max())
     if peak == 0.0:
         raise ValueError("cannot decompose an identically zero field")
@@ -392,12 +444,70 @@ def product_q_plus_v_std(r, dx, potential):
     h *= -0.5
     h /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
     h += potential(centered_axis(r.size, dx))
-    R = np.outer(r, r)
-    keep = R >= NODE_MASK_RELATIVE_THRESHOLD * R.max()
-    del R
-    kept = np.add.outer(h, h)[keep]
-    # np.std's steps, in place on the kept sites
-    kept -= kept.mean()
-    kept **= 2
-    return math.sqrt(kept.mean())
+    threshold = NODE_MASK_RELATIVE_THRESHOLD * (peak * peak)
+    # Site (i, j) is kept where r_i r_j, rounded, is >= the threshold.
+    # Rounding is monotone, so row i keeps the r_j from the least one that it
+    # keeps. Its index first[i] in the sorted r is found by a binary search
+    # of all rows at once, in steps of one size for every row
+    ascending = np.sort(r)
+    first = np.zeros(r.size, np.intp)
+    length = r.size
+    while length > 1:
+        half = length // 2
+        first += half * (r * ascending[first + half] < threshold)
+        length -= half
+    first += r * ascending[first] < threshold
+    least = np.append(ascending, math.inf)[first]
+    blocks = [slice(i, i + PRODUCT_ROWS) for i in range(0, r.size, PRODUCT_ROWS)]
 
+    def kept_values(rows):
+        return np.add.outer(h[rows], h)[r >= least[rows, None]]
+
+    size = int(r.size * r.size - first.sum())
+    mean = _streamed_mean(map(kept_values, blocks), size)
+    # np.std's steps, on each block of kept sites
+    deviations = (np.square(kept_values(rows) - mean) for rows in blocks)
+    return math.sqrt(_streamed_mean(deviations, size))
+
+
+def _streamed_mean(blocks, size):
+    """np.mean of the `size` values that the 1-D float64 arrays from `blocks`
+    hold in turn, with np.mean's bits and without joining the blocks.
+
+    NumPy sums a contiguous array pairwise: it splits a run of more than 128
+    values at half its length, rounded down to a multiple of 8, and sums a
+    run of at most 128 with eight accumulators (`pairwise_sum` in NumPy's
+    loops_utils.h). Any run the split reaches is summed alike by np.add.reduce
+    of that run alone. So a run within one block is summed so, a run of at
+    most JOINED_RUN values across blocks is joined and summed, and a longer
+    one is split as NumPy splits it.
+    """
+    stream = [np.empty(0), iter(blocks)]
+    return float(_run_sum(stream, size)) / size
+
+
+def _run_sum(stream, count):
+    """np.add.reduce's sum of the next `count` values of stream = [the rest of
+    the current block, an iterator over the blocks after it], which it reads."""
+    while not stream[0].size:
+        _next_block(stream)
+    if count <= stream[0].size:
+        run, stream[0] = stream[0][:count], stream[0][count:]
+        return np.add.reduce(run)
+    if count > JOINED_RUN:
+        half = count // 2
+        half -= half % 8
+        return _run_sum(stream, half) + _run_sum(stream, count - half)
+    parts = []  # a run of at most JOINED_RUN values across blocks
+    while count > stream[0].size:
+        parts.append(stream[0].copy())
+        count -= stream[0].size
+        _next_block(stream)
+    parts.append(stream[0][:count])
+    stream[0] = stream[0][count:]
+    return np.add.reduce(np.concatenate(parts))
+
+
+def _next_block(stream):
+    stream[0] = None  # frees the spent block before the next one is made
+    stream[0] = next(stream[1])

@@ -212,22 +212,33 @@ def _run_constants_report(params):
 # nodes i dx is one lattice function for every dx, so its claims move with dx
 # by round-off only
 VORTEX_DX = 0.1
+# rows per block of the vortex stage's pass over the profile annulus
+VORTEX_ROWS = 32
 
 
 def _vortex_stage(n, dx=VORTEX_DX):
     """Circulation rows and the velocity-profile deviation of a unit vortex
-    built from its real R and S on the one central box that holds the outer
-    loop (50 nodes from the centre) and the profile annulus with the 2-node
-    halo of the gradient stencil; the half-winding field is built only on the
-    box that holds the mid loop."""
+    built from its real R and S, with tanh core radius 2 dx: the loops read
+    it on the 101 x 101 box that holds the outer loop (50 nodes from the
+    centre), and the profile annulus, n/4 nodes from the centre, is streamed
+    in blocks of rows, so no array of the stage grows as n^2."""
     c0, m = n // 2, n // 4
-    h = max(50, m + 2)  # the box's half-width; its centre node is (h, h)
-    x = bohm.centered_axis(n, dx)[c0 - h:c0 + h + 1]
-    f = bohm.vortex_fields(x, dx, core_radius=2 * dx)
+    axis = bohm.centered_axis(n, dx)
+    rows, loop_peak = _circulation_rows(axis[c0 - 50:c0 + 51], dx)
+    return rows, _profile_deviation(axis[c0 - m - 2:c0 + m + 3], n, dx, loop_peak)
+
+
+def _circulation_rows(box, dx):
+    """The circulation rows of the vortex on the box of nodes with
+    coordinates `box` along each axis, whose outer loop is the box's edge,
+    and R's peak there. The half-winding field is built only on the box that
+    holds the mid loop."""
+    f = bohm.vortex_fields(box, dx, core_radius=2 * dx)
+    h = len(box) // 2  # the centre node is (h, h)
     loops = {
         "inner": (h - 10, h - 10, h + 10, h + 10),
         "mid": (h - 25, h - 20, h + 18, h + 24),
-        "outer": (h - 50, h - 50, h + 50, h + 50),
+        "outer": (0, 0, 2 * h, 2 * h),
     }
     rows = []
     for name, corners in loops.items():
@@ -235,21 +246,46 @@ def _vortex_stage(n, dx=VORTEX_DX):
         rows.append([name, res.gamma, res.half_quanta, res.residual])
 
     i0, j0, i1, j1 = loops["mid"]
-    half = _half_winding_box(x, i0, j0, max(i1 - i0, j1 - j0) + 1, dx)
+    half = _half_winding_box(box, i0, j0, max(i1 - i0, j1 - j0) + 1, dx)
     res_half = bohm.circulation(half, bohm.LoopPath.rectangle(0, 0, i1 - i0, j1 - j0))
     rows.append(["half-winding", res_half.gamma, res_half.half_quanta,
                  res_half.residual])
+    return rows, float(f.R.max())
 
-    # |r |v| - 1| at the off-node sites with 4 dx <= r <= n dx / 4. v is taken
-    # on the annulus box plus the halo only, which is then dropped: at grid 128
-    # the loop box is the larger one
-    core, halo = slice(h - m, h + m + 1), slice(h - m - 2, h + m + 3)
-    v = bohm._wrapped_gradient(f.S[halo, halo], dx, f.phase_period)[:, 2:-2, 2:-2]
-    speed = np.hypot(v[0], v[1])
-    r = np.hypot(x[core, None], x[None, core])
-    sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~f.node_mask[core, core]
-    profile_dev = float(np.max(np.abs(speed[sel] * r[sel] - 1.0)))
-    return rows, profile_dev
+
+def _profile_deviation(x, n, dx, loop_peak):
+    """max |r |v| - 1| at the off-node sites with 4 dx <= r <= n dx / 4 of
+    the vortex on the annulus box, whose nodes have coordinates x[2:-2]
+    along each axis; x adds the 2-node halo of the gradient stencil.
+
+    The box is taken in blocks of VORTEX_ROWS rows, each with the halo and
+    with the operations of the whole box. The node mask is relative to R's
+    peak over the central box, which holds the loop box (R's peak there is
+    loop_peak) and the annulus box with its halo. That peak is known after
+    the last block, so a block is taken again only if one of its sites in
+    range has R below the final threshold.
+    """
+    r0 = 2 * dx
+
+    def block(i, floor):
+        """R's peak over the block's rows with the halo, and the largest
+        deviation and least R at its sites in range whose R is not below floor."""
+        xs = x[i:i + VORTEX_ROWS + 4]
+        dist = np.hypot(xs[:, None], x[None, :])
+        R = bohm.vortex_amplitude(dist, r0)
+        v = bohm._wrapped_gradient(bohm.vortex_phase(xs, x), dx, 2 * math.pi)[:, 2:-2, 2:-2]
+        speed = np.hypot(v[0], v[1])
+        r, R_core = dist[2:-2, 2:-2], R[2:-2, 2:-2]
+        sel = (r >= 4 * dx) & (r <= n * dx / 4) & ~(R_core < floor)
+        dev = np.abs(speed[sel] * r[sel] - 1.0)
+        return (float(R.max()), float(dev.max(initial=0.0)),
+                float(R_core[sel].min(initial=math.inf)))
+
+    blocks = {i: block(i, 0.0) for i in range(0, len(x) - 4, VORTEX_ROWS)}
+    peak = max(loop_peak, *(b[0] for b in blocks.values()))
+    threshold = bohm.NODE_MASK_RELATIVE_THRESHOLD * peak
+    return max(dev if least >= threshold else block(i, threshold)[1]
+               for i, (_, dev, least) in blocks.items())
 
 
 def _half_winding_box(x, i0, j0, size, dx):
@@ -635,9 +671,9 @@ for _exp in [
                {}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
-               # the outer loop reaches 50 sites from the centre; 2048^2
-               # complex128 is 64 MiB per array, and a run's tracemalloc peak
-               # is 1.02 such arrays there (1.28 at 256, 1.83 at 128)
+               # the outer loop reaches 50 sites from the centre; the stages
+               # stream blocks of rows, so a run's tracemalloc peak grows as
+               # the grid, not its square: 0.53 MiB at 256, 3.36 MiB at 2048
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048))},
                _run_bohm_vortex),
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",

@@ -158,13 +158,19 @@ def _inverse_distance_sums(s, px, pz):
     return np.array(_exact_sums(d2))
 
 
+def _checked_radii(r):
+    """r as a float array, each radius finite and > 0."""
+    radii = np.asarray(r, dtype=np.float64)
+    for value in radii.reshape(-1).tolist():
+        require("r", value)
+    return radii
+
+
 def far_potential(s, r, theta=0.0):
     """Direct-sum gravitational potential at colatitude theta and distance r,
     a float for a scalar r or an array for a 1-D array of radii."""
-    radii = np.asarray(r, dtype=np.float64)
+    radii = _checked_radii(r)
     flat = radii.reshape(-1)
-    for value in flat.tolist():
-        require("r", value)
     require("theta", theta, -math.inf)
     if radii.min() < 100 * s.radius:
         raise ValueError(f"probe at r={radii.min():g} is inside the near zone "
@@ -212,7 +218,7 @@ def shell_trace_a0(s, r_values):
 
     Returns (A0 array, log-log slope, coefficient A0*r at the farthest probe).
     """
-    r_values = np.asarray(r_values, dtype=np.float64)
+    r_values = _checked_radii(r_values)
     log_r = np.log(r_values)
     if log_r.min() == log_r.max():
         raise ValueError(f"need at least 2 distinct radii; got {r_values.tolist()}")

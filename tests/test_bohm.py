@@ -474,16 +474,22 @@ def full_grid_q_plus_v_std(n):
     return float(np.add.outer(h, h)[R >= thr * R.max()].std())
 
 
-def peak_complex_grids(stage, n):
-    """tracemalloc peak of stage(n), in complex128 n x n grids, after one
-    warm-up call (the FFT plan caches are not the stage's working set)."""
+def peak_bytes(stage, n):
+    """tracemalloc peak of stage(n) in bytes, after one warm-up call (the FFT
+    plan caches are not the stage's working set)."""
     stage(n)
     tracemalloc.start()
     try:
         stage(n)
-        return tracemalloc.get_traced_memory()[1] / (16 * n * n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_rows(stage, n):
+    """`peak_bytes` in rows of n float64 values: a bound on it that does not
+    depend on n is a working set that grows as n, not n^2."""
+    return peak_bytes(stage, n) / (8 * n)
 
 
 class TestProductStates:
@@ -525,13 +531,56 @@ class TestProductStates:
     def test_harmonic_stage_same_bits_as_np_std(self, n):
         assert experiments._harmonic_stage(n) == full_grid_q_plus_v_std(n)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streamed_mean_same_bits_as_np_mean(self, seed):
+        # blocks of any sizes, empty ones included; 16392 is split at 8192,
+        # not at its half, which is no multiple of 8
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(20000) * 10.0 ** rng.uniform(-6, 6, 20000)
+        for size in (1, 129, 1000, 16392, 20000):
+            cuts = np.sort(rng.integers(0, size, 40))
+            blocks = np.split(values[:size], cuts)
+            assert bohm._streamed_mean(blocks, size) == np.mean(values[:size])
+
+    def test_q_plus_v_std_same_bits_as_np_std_on_any_amplitude(self):
+        # repeated values and zeros, so the kept sites of a row are no
+        # interval; with a peak of 1, r = 1e-8 and 1 meet on the threshold
+        rng = np.random.default_rng(0)
+        dx, thr = 0.1, bohm.NODE_MASK_RELATIVE_THRESHOLD
+        for _ in range(200):
+            n = int(rng.integers(2, 70))
+            r = rng.choice([0.0, 1e-8, 2e-8, 1e-4, 0.5, 1.0], n)
+            r[0] = 1.0
+            h = bohm._rfft_derivative(r, dx, 2) * -0.5 / np.where(r < thr, 1.0, r)
+            h += np.sin(bohm.centered_axis(n, dx))
+            R = np.outer(r, r)
+            ref = float(np.add.outer(h, h)[R >= thr * R.max()].std())
+            assert bohm.product_q_plus_v_std(r, dx, np.sin) == ref
+
     def test_continuity_stage_working_set(self):
-        # two real n x n grids, and a block of rows of the last outer product
-        assert peak_complex_grids(experiments._continuity_stage, 512) <= 1.15
+        # three blocks of rows (rho_dot, div and an outer product of a block)
+        # and the 1-D factors: 240 rows at 512, 215 at 2048
+        for n in (512, 2048):
+            assert peak_rows(experiments._continuity_stage, n) <= 4 * bohm.PRODUCT_ROWS
 
     def test_harmonic_stage_working_set(self):
-        # one real Q + V grid, compacted to the kept sites, and the site mask
-        assert peak_complex_grids(experiments._harmonic_stage, 512) <= 1.05
+        # a block of Q + V, its kept sites and its site mask, and a run of
+        # up to JOINED_RUN values joined across blocks: 140 rows at 512, 129
+        # at 2048
+        for n in (512, 2048):
+            assert peak_rows(experiments._harmonic_stage, n) <= 2.5 * bohm.PRODUCT_ROWS
+
+    def test_vortex_stage_working_set(self):
+        # the fields of the 101 x 101 loop box, freed before the annulus,
+        # and one block of VORTEX_ROWS rows and the halo across the annulus
+        # box, n/2 + 5 nodes wide: 181 rows at 512, 153 at 2048
+        for n in (512, 2048):
+            assert peak_rows(experiments._vortex_stage, n) <= 200
+
+    def test_runner_working_set_at_grid_2048(self):
+        # the stages run in turn: the continuity stage sets the peak, 3.36 MiB
+        peak = peak_bytes(lambda n: experiments._run_bohm_vortex({"grid": n}), 2048)
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("n", GRIDS)
     def test_vortex_state_matches_meshgrid_form(self, n):
@@ -552,6 +601,19 @@ class TestProductStates:
         rows_full, devs = full_grid_vortex_stage(f, dx)
         assert (rows, dev) == (rows_full, devs.max())
 
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_box_velocity_profile_masks_as_full_grid(self, monkeypatch, n):
+        # a threshold of 0.99 of R's peak masks the sites in range nearest the
+        # core, so the stage takes their blocks again under the final threshold
+        monkeypatch.setattr(bohm, "NODE_MASK_RELATIVE_THRESHOLD", 0.99)
+        dx = 0.1
+        rows, dev = experiments._vortex_stage(n, dx)
+        f = bohm.vortex_fields(bohm.centered_axis(n, dx), dx, core_radius=2 * dx)
+        rows_full, devs = full_grid_vortex_stage(f, dx)
+        assert (rows, dev) == (rows_full, devs.max())
+        monkeypatch.undo()
+        assert dev < experiments._vortex_stage(n, dx)[1]
+
     def test_factor_checks(self):
         f = bohm.gaussian_factor(64, 0.2, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
@@ -562,6 +624,9 @@ class TestProductStates:
             bohm.product_continuity_residual(f, np.zeros(64), 0.2, 1e-3, 1)
         with pytest.raises(ValueError, match="identically zero"):
             bohm.product_q_plus_v_std(np.zeros(64), 0.2, np.zeros_like)
+        with pytest.raises(ValueError, match="non-negative"):
+            bohm.product_q_plus_v_std(np.where(np.arange(64) == 3, -1.0, f.real), 0.2,
+                                      np.zeros_like)
 
 
 class TestVortexFields:

@@ -502,12 +502,9 @@ class TestBohmVortex:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_runner_peak_memory(self):
-        # the continuity and Q stages run on 1-D factors and the vortex stage
-        # builds its real R and S on the central box only: at grid 256 the
-        # continuity stage's 1.66 complex n x n grids are the peak (1.94, set
-        # by the vortex stage, when its R and S covered the grid; 2.5 when the
-        # vortex was built as a complex state; 6.6 when the three evolved
-        # states were 2-D)
+        # the stages stream blocks of rows: at grid 256 the continuity
+        # stage's blocks set the peak, 0.53 MiB (1.28 MiB when it held two
+        # real n x n grids)
         params = experiments.resolve_parameters(
             experiments.EXPERIMENTS["bohm-vortex"], {})
         experiments._run_bohm_vortex(params)  # warm-up: FFT plan caches
@@ -517,7 +514,7 @@ class TestBohmVortex:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * params["grid"] ** 2 * 16
+        assert peak <= 2**20
 
     def test_rerun_clears_an_older_snapshot(self, tmp_path):
         # a directory written when bohm-vortex also wrote its R snapshot: the

@@ -57,6 +57,15 @@ CASES = [
     ("mass", lambda: kerr_newman.KNParams(NAN, 1.0, 1.0)),
     ("a", lambda: kerr_newman.metric_slice(NAN, 0.0, 0.0, 1.0, math.pi / 2, 0.5)),
     ("mass", lambda: ParticleSpec("x", NAN, 0.0, 0.5)),
+    ("dt", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, NAN, 1)),
+    ("dt", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, 0.0, 1)),
+    ("steps", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, 1e-3, 0)),
+    ("dt", lambda: bohm.evolve_factor(FACTOR, 0.2, NAN, 1)),
+    ("dt", lambda: bohm.evolve(bohm.gaussian_state(64, 0.2, 1.0), NAN, 1)),
+    ("core_radius", lambda: bohm.vortex_state(64, 0.1, core_radius=0.0)),
+    ("core_radius", lambda: bohm.vortex_fields(bohm.centered_axis(64, 0.1), 0.1, 0.0)),
+    ("r", lambda: lin_gravity.shell_trace_a0(RING, [NAN, 1e4])),
+    ("r", lambda: lin_gravity.shell_trace_a0(RING, [0.0, 1e4])),
 ]
 
 
@@ -98,8 +107,15 @@ SPAN = float(TRACE.times[-1] - TRACE.times[0])
 KN_ELECTRON = kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES["electron"])
 
 
+FACTOR = bohm.gaussian_factor(64, 0.2, 1.0)
+
+
 def far_potential_among_good_radii(r):
     return lin_gravity.far_potential(RING, np.array([1e3, r, 1e4]))
+
+
+def shell_trace_among_good_radii(r):
+    return lin_gravity.shell_trace_a0(RING, np.array([1e3, r, 1e4]))
 
 
 def far_fields_among_good_colatitudes(theta):
@@ -116,6 +132,17 @@ ENTRY_POINTS = [
      {"dx": POSITIVE, "sigma": POSITIVE}),
     (bohm.gaussian_state, dict(n=64, dx=0.1, sigma=1.0),
      {"dx": POSITIVE, "sigma": POSITIVE}),
+    (bohm.evolve, dict(grid=bohm.gaussian_state(64, 0.2, 1.0), dt=1e-3, steps=1),
+     {"dt": FINITE}),
+    (bohm.evolve_factor, dict(f=FACTOR, dx=0.2, dt=1e-3, steps=1),
+     {"dx": POSITIVE, "dt": FINITE}),
+    (bohm.product_continuity_residual, dict(fa=FACTOR, fb=FACTOR, dx=0.2, dt=1e-3, steps=1),
+     {"dx": POSITIVE, "dt": POSITIVE, "steps": at_least(1)}),
+    (bohm.product_q_plus_v_std, dict(r=np.abs(FACTOR), dx=0.2, potential=np.zeros_like),
+     {"dx": POSITIVE}),
+    (bohm.vortex_state, dict(n=64, dx=0.1, core_radius=0.2), {"core_radius": POSITIVE}),
+    (bohm.vortex_fields, dict(x=bohm.centered_axis(64, 0.1), dx=0.1, core_radius=0.2),
+     {"core_radius": POSITIVE}),
     (dirac.build_gaussian, dict(sigma_x=1.0, x0=0.0, p0=0.0, seed=(1, 0)),
      {"sigma_x": POSITIVE, "x0": FINITE, "p0": FINITE}),
     (dirac.mean_position_trace, dict(packet=PACKET, t_max=1.0, samples=64),
@@ -153,6 +180,7 @@ ENTRY_POINTS = [
       "speed": POSITIVE}),
     (lin_gravity.far_potential, dict(s=RING, r=1e3), {"r": POSITIVE, "theta": FINITE}),
     (far_potential_among_good_radii, dict(r=1e3), {"r": POSITIVE}),
+    (shell_trace_among_good_radii, dict(r=1e3), {"r": POSITIVE}),
     (confinement, dict(mass=1.8), {"mass": POSITIVE}),
 ]
 
