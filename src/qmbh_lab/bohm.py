@@ -20,9 +20,10 @@ So a product state fa(x) fb(y) stays a product under free evolution, and its
 density, velocity, flux divergence and Q follow from the 1-D factors
 (`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`).
 Their maxima and means over the n x n sites are taken in blocks of
-PRODUCT_ROWS rows, the means summed in NumPy's pairwise order, so they hold
-no n x n grid and give the bits of the full-grid forms; the 2-D functions
-remain for general states.
+PRODUCT_ROWS rows, so they hold no n x n grid. NumPy sums each block and the
+block sums are added exactly and rounded once (`_block_mean`); at every
+bohm-vortex `grid` the claims keep the bits of the full-grid np.mean and
+np.std. The 2-D functions remain for general states.
 The unit vortex tanh(r/r0) e^{i azimuth} is likewise built straight from its
 real R and S (`vortex_amplitude`, `vortex_phase`, and `vortex_fields` on a
 square box), with no complex grid, on any nodes given by their coordinates,
@@ -46,9 +47,6 @@ from .constants import require
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
 # rows per block of the product-state stages' n x n sums and maxima
 PRODUCT_ROWS = 64
-# longest run of values across blocks that `_streamed_mean` copies into one
-# array to sum; a longer one it splits
-JOINED_RUN = 8192
 
 
 def centered_axis(n, dx):
@@ -418,10 +416,7 @@ def product_continuity_residual(fa, fb, dx, dt, steps):
         rho_dot **= 2
         return rho_dot.ravel()
 
-    blocks = (squared_residual(slice(i, i + PRODUCT_ROWS))
-              for i in range(0, len(a), PRODUCT_ROWS))
-    mean = _streamed_mean(blocks, len(a) * len(b))
-    return math.sqrt(mean) / scale
+    return math.sqrt(_block_mean(squared_residual, len(a))) / scale
 
 
 def product_q_plus_v_std(r, dx, potential):
@@ -431,8 +426,10 @@ def product_q_plus_v_std(r, dx, potential):
     Q = q(x) + q(y) with q = -r''/(2 r), so Q + V = h(x) + h(y) with
     h = q + potential. Where r is below the node threshold q is not divided;
     the sites kept are those where R is not below it, as in `decompose`. The
-    amplitude is non-negative, so R's peak is r's squared. The kept sites
-    are found, and their mean and std taken, in blocks of PRODUCT_ROWS rows.
+    amplitude is non-negative, so R's peak is r's squared, and a block's R
+    is the same rounded products np.outer(r, r) holds. The kept sites are
+    found, and their mean and std taken (two passes, as np.std), in blocks
+    of PRODUCT_ROWS rows by `_block_mean`, which counts them as it goes.
     """
     require("dx", dx)
     if not (r >= 0).all():
@@ -445,69 +442,24 @@ def product_q_plus_v_std(r, dx, potential):
     h /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
     h += potential(centered_axis(r.size, dx))
     threshold = NODE_MASK_RELATIVE_THRESHOLD * (peak * peak)
-    # Site (i, j) is kept where r_i r_j, rounded, is >= the threshold.
-    # Rounding is monotone, so row i keeps the r_j from the least one that it
-    # keeps. Its index first[i] in the sorted r is found by a binary search
-    # of all rows at once, in steps of one size for every row
-    ascending = np.sort(r)
-    first = np.zeros(r.size, np.intp)
-    length = r.size
-    while length > 1:
-        half = length // 2
-        first += half * (r * ascending[first + half] < threshold)
-        length -= half
-    first += r * ascending[first] < threshold
-    least = np.append(ascending, math.inf)[first]
-    blocks = [slice(i, i + PRODUCT_ROWS) for i in range(0, r.size, PRODUCT_ROWS)]
 
     def kept_values(rows):
-        return np.add.outer(h[rows], h)[r >= least[rows, None]]
+        kept = np.outer(r[rows], r) >= threshold  # R's block freed before Q + V's
+        return np.add.outer(h[rows], h)[kept]
 
-    size = int(r.size * r.size - first.sum())
-    mean = _streamed_mean(map(kept_values, blocks), size)
-    # np.std's steps, on each block of kept sites
-    deviations = (np.square(kept_values(rows) - mean) for rows in blocks)
-    return math.sqrt(_streamed_mean(deviations, size))
+    mean = _block_mean(kept_values, r.size)
+    return math.sqrt(_block_mean(lambda rows: np.square(kept_values(rows) - mean), r.size))
 
 
-def _streamed_mean(blocks, size):
-    """np.mean of the `size` values that the 1-D float64 arrays from `blocks`
-    hold in turn, with np.mean's bits and without joining the blocks.
-
-    NumPy sums a contiguous array pairwise: it splits a run of more than 128
-    values at half its length, rounded down to a multiple of 8, and sums a
-    run of at most 128 with eight accumulators (`pairwise_sum` in NumPy's
-    loops_utils.h). Any run the split reaches is summed alike by np.add.reduce
-    of that run alone. So a run within one block is summed so, a run of at
-    most JOINED_RUN values across blocks is joined and summed, and a longer
-    one is split as NumPy splits it.
-    """
-    stream = [np.empty(0), iter(blocks)]
-    return float(_run_sum(stream, size)) / size
-
-
-def _run_sum(stream, count):
-    """np.add.reduce's sum of the next `count` values of stream = [the rest of
-    the current block, an iterator over the blocks after it], which it reads."""
-    while not stream[0].size:
-        _next_block(stream)
-    if count <= stream[0].size:
-        run, stream[0] = stream[0][:count], stream[0][count:]
-        return np.add.reduce(run)
-    if count > JOINED_RUN:
-        half = count // 2
-        half -= half % 8
-        return _run_sum(stream, half) + _run_sum(stream, count - half)
-    parts = []  # a run of at most JOINED_RUN values across blocks
-    while count > stream[0].size:
-        parts.append(stream[0].copy())
-        count -= stream[0].size
-        _next_block(stream)
-    parts.append(stream[0][:count])
-    stream[0] = stream[0][count:]
-    return np.add.reduce(np.concatenate(parts))
-
-
-def _next_block(stream):
-    stream[0] = None  # frees the spent block before the next one is made
-    stream[0] = next(stream[1])
+def _block_mean(block, n_rows):
+    """Mean of the values of the 1-D float64 arrays block(rows) over the
+    blocks of PRODUCT_ROWS of n_rows rows. NumPy sums each block; the block
+    sums are added exactly and rounded once (`math.fsum`; Shewchuk, Discrete
+    Comput. Geom. 18, 305, 1997). Each block is freed before the next is made."""
+    sums, count = [], 0
+    for i in range(0, n_rows, PRODUCT_ROWS):
+        values = block(slice(i, i + PRODUCT_ROWS))
+        sums.append(float(np.add.reduce(values)))
+        count += values.size
+        del values
+    return math.fsum(sums) / count

@@ -532,19 +532,24 @@ class TestProductStates:
         assert experiments._harmonic_stage(n) == full_grid_q_plus_v_std(n)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_streamed_mean_same_bits_as_np_mean(self, seed):
-        # blocks of any sizes, empty ones included; 16392 is split at 8192,
-        # not at its half, which is no multiple of 8
+    def test_block_mean_within_eps_of_the_exact_mean(self, seed):
+        # blocks of any sizes, empty ones included; the oracle is the
+        # correctly rounded sum of all the values
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(20000) * 10.0 ** rng.uniform(-6, 6, 20000)
         for size in (1, 129, 1000, 16392, 20000):
-            cuts = np.sort(rng.integers(0, size, 40))
-            blocks = np.split(values[:size], cuts)
-            assert bohm._streamed_mean(blocks, size) == np.mean(values[:size])
+            blocks = np.split(values[:size], np.sort(rng.integers(0, size, 40)))
+            mean = bohm._block_mean(lambda rows: blocks[rows.start // bohm.PRODUCT_ROWS],
+                                    len(blocks) * bohm.PRODUCT_ROWS)
+            exact = math.fsum(values[:size]) / size
+            scale = math.fsum(np.abs(values[:size])) / size
+            assert abs(mean - exact) <= np.finfo(float).eps * scale
 
-    def test_q_plus_v_std_same_bits_as_np_std_on_any_amplitude(self):
+    def test_q_plus_v_std_within_4_ulps_of_exact_std_on_any_amplitude(self):
         # repeated values and zeros, so the kept sites of a row are no
-        # interval; with a peak of 1, r = 1e-8 and 1 meet on the threshold
+        # interval; with a peak of 1, r = 1e-8 and 1 meet on the threshold.
+        # The oracle is the two-pass std of the full grid's kept sites, each
+        # pass summed exactly
         rng = np.random.default_rng(0)
         dx, thr = 0.1, bohm.NODE_MASK_RELATIVE_THRESHOLD
         for _ in range(200):
@@ -554,8 +559,11 @@ class TestProductStates:
             h = bohm._rfft_derivative(r, dx, 2) * -0.5 / np.where(r < thr, 1.0, r)
             h += np.sin(bohm.centered_axis(n, dx))
             R = np.outer(r, r)
-            ref = float(np.add.outer(h, h)[R >= thr * R.max()].std())
-            assert bohm.product_q_plus_v_std(r, dx, np.sin) == ref
+            kept = np.add.outer(h, h)[R >= thr * R.max()]
+            mean = math.fsum(kept) / kept.size
+            ref = math.sqrt(math.fsum(np.square(kept - mean)) / kept.size)
+            std = bohm.product_q_plus_v_std(r, dx, np.sin)
+            assert abs(std - ref) <= 4 * math.ulp(ref)
 
     def test_continuity_stage_working_set(self):
         # three blocks of rows (rho_dot, div and an outer product of a block)
@@ -564,8 +572,8 @@ class TestProductStates:
             assert peak_rows(experiments._continuity_stage, n) <= 4 * bohm.PRODUCT_ROWS
 
     def test_harmonic_stage_working_set(self):
-        # a block of Q + V, its kept sites and its site mask, and a run of
-        # up to JOINED_RUN values joined across blocks: 140 rows at 512, 129
+        # a block of Q + V, its kept sites and its site mask; the block of R
+        # that the mask is taken from is freed first: 122 rows at 512, 123
         # at 2048
         for n in (512, 2048):
             assert peak_rows(experiments._harmonic_stage, n) <= 2.5 * bohm.PRODUCT_ROWS
@@ -573,7 +581,7 @@ class TestProductStates:
     def test_vortex_stage_working_set(self):
         # the fields of the 101 x 101 loop box, freed before the annulus,
         # and one block of VORTEX_ROWS rows and the halo across the annulus
-        # box, n/2 + 5 nodes wide: 181 rows at 512, 153 at 2048
+        # box, n/2 + 5 nodes wide: 145 rows at 512, 119 at 2048
         for n in (512, 2048):
             assert peak_rows(experiments._vortex_stage, n) <= 200
 
@@ -602,17 +610,21 @@ class TestProductStates:
         assert (rows, dev) == (rows_full, devs.max())
 
     @pytest.mark.parametrize("n", [128, 512])
-    def test_box_velocity_profile_masks_as_full_grid(self, monkeypatch, n):
-        # a threshold of 0.99 of R's peak masks the sites in range nearest the
-        # core, so the stage takes their blocks again under the final threshold
-        monkeypatch.setattr(bohm, "NODE_MASK_RELATIVE_THRESHOLD", 0.99)
-        dx = 0.1
-        rows, dev = experiments._vortex_stage(n, dx)
+    @pytest.mark.parametrize("dx", [0.1, 0.37])
+    def test_box_velocity_profile_per_site_as_full_grid(self, monkeypatch, n, dx):
+        # every site in range is taken once, by one block, with the full
+        # grid's bits: the maximum alone would not see a site lost
+        blocks, profile_block = [], experiments._profile_block
+
+        def recorded(*args):
+            blocks.append(profile_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(experiments, "_profile_block", recorded)
+        experiments._vortex_stage(n, dx)
         f = bohm.vortex_fields(bohm.centered_axis(n, dx), dx, core_radius=2 * dx)
-        rows_full, devs = full_grid_vortex_stage(f, dx)
-        assert (rows, dev) == (rows_full, devs.max())
-        monkeypatch.undo()
-        assert dev < experiments._vortex_stage(n, dx)[1]
+        _, devs = full_grid_vortex_stage(f, dx)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.sort(devs))
 
     def test_factor_checks(self):
         f = bohm.gaussian_factor(64, 0.2, 1.0)
