@@ -27,8 +27,8 @@ np.std. The 2-D functions remain for general states.
 The unit vortex tanh(r/r0) e^{i azimuth} is likewise built straight from its
 real R and S (`vortex_amplitude`, `vortex_phase`, and `vortex_fields` on a
 square box), with no complex grid, on any nodes given by their coordinates,
-so bohm-vortex streams it in blocks of rows; `vortex_state` and `decompose`
-of the full grid remain its reference.
+so bohm-vortex builds it only on small fixed boxes about its axis;
+`vortex_state` and `decompose` of the full grid remain its reference.
 Fields that are real (R, and the fluxes rho v) are differentiated with
 real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
 849, 1987). The velocity v of a `MadelungFields` is computed from S on

@@ -212,78 +212,41 @@ def _run_constants_report(params):
 # nodes i dx is one lattice function for every dx, so its claims move with dx
 # by round-off only
 VORTEX_DX = 0.1
-# rows per block of the vortex stage's pass over the profile annulus
-VORTEX_ROWS = 32
 
 
-def _vortex_stage(n, dx=VORTEX_DX):
+def _vortex_stage(dx=VORTEX_DX):
     """Circulation rows and the velocity-profile deviation of a unit vortex
-    built from its real R and S, with tanh core radius 2 dx: the loops read
-    it on the 101 x 101 box that holds the outer loop (50 nodes from the
-    centre), and the profile annulus, n/4 nodes from the centre, is streamed
-    in blocks of rows, so no array of the stage grows as n^2. The loop box's
-    fields are freed before the annulus is taken; the stage's tracemalloc
-    peak is 145 rows of n float64 at n = 512 and 119 at 2048."""
-    c0, m = n // 2, n // 4
-    axis = bohm.centered_axis(n, dx)
-    rows = _circulation_rows(axis[c0 - 50:c0 + 51], dx)
-    return rows, _profile_deviation(axis[c0 - m - 2:c0 + m + 3], n, dx)
+    built from its real R and S, with tanh core radius 2 dx, on two fixed
+    boxes centred on its axis.
 
-
-def _circulation_rows(box, dx):
-    """The circulation rows of the vortex on the box of nodes with
-    coordinates `box` along each axis, whose outer loop is the box's edge.
-    The half-winding field is built only on the box that holds the mid loop."""
-    f = bohm.vortex_fields(box, dx, core_radius=2 * dx)
-    h = len(box) // 2  # the centre node is (h, h)
-    loops = {
-        "inner": (h - 10, h - 10, h + 10, h + 10),
-        "mid": (h - 25, h - 20, h + 18, h + 24),
-        "outer": (0, 0, 2 * h, 2 * h),
-    }
+    The loops read it on the 101 x 101 box whose edge is the outer loop, and
+    the half-winding field S/2, R = 1 is read there at the mid loop's nodes.
+    That box is freed before the profile box is built. The profile is
+    max |r |v| - 1| over 4 dx <= r <= 32 dx (grid 128's annulus, n dx/4) on
+    the 69 x 69 box, whose 2-node margin is the gradient stencil's halo. The
+    deviation is the 4th-order stencil's error, which falls as (dx/r)^4
+    (Fornberg, Math. Comp. 51, 699, 1988): its maximum sits at the inner
+    edge, so a larger grid's annulus has the same one, and no box grows with
+    the grid. No site in range is a node: there r >= 4 dx, twice the core
+    radius, so R >= tanh(2) = 0.96, and the node threshold is 1e-8 of R's
+    peak of at most 1; so no mask is taken."""
+    f = bohm.vortex_fields(bohm.centered_axis(101, dx), dx, core_radius=2 * dx)
+    half = bohm.synthetic_fields(np.ones_like(f.S), f.S / 2, dx, phase_period=math.pi)
+    h = 50  # the centre node is (h, h)
+    mid = (h - 25, h - 20, h + 18, h + 24)
     rows = []
-    for name, corners in loops.items():
-        res = bohm.circulation(f, bohm.LoopPath.rectangle(*corners))
+    for name, fields, corners in [("inner", f, (h - 10, h - 10, h + 10, h + 10)),
+                                  ("mid", f, mid), ("outer", f, (0, 0, 2 * h, 2 * h)),
+                                  ("half-winding", half, mid)]:
+        res = bohm.circulation(fields, bohm.LoopPath.rectangle(*corners))
         rows.append([name, res.gamma, res.half_quanta, res.residual])
+    del f, half, fields
 
-    i0, j0, i1, j1 = loops["mid"]
-    half = _half_winding_box(box, i0, j0, max(i1 - i0, j1 - j0) + 1, dx)
-    res_half = bohm.circulation(half, bohm.LoopPath.rectangle(0, 0, i1 - i0, j1 - j0))
-    rows.append(["half-winding", res_half.gamma, res_half.half_quanta,
-                 res_half.residual])
-    return rows
-
-
-def _profile_deviation(x, n, dx):
-    """max |r |v| - 1| at the sites with 4 dx <= r <= n dx / 4 of the vortex
-    on the annulus box, whose nodes have coordinates x[2:-2] along each axis;
-    x adds the 2-node halo of the gradient stencil. The box is taken in
-    blocks of VORTEX_ROWS rows, each made and freed in its own
-    `_profile_block` call. No site in range is a node: there r >= 4 dx, twice
-    the core radius, so R >= tanh(2) = 0.96, and the node threshold is 1e-8
-    of R's peak of at most 1; so no mask is taken."""
-    return max(float(_profile_block(x, i, n, dx).max(initial=0.0))
-               for i in range(0, len(x) - 4, VORTEX_ROWS))
-
-
-def _profile_block(x, i, n, dx):
-    """|r |v| - 1| at the sites in range on the annulus box's rows i to
-    i + VORTEX_ROWS, from those rows with the halo, by the operations of the
-    whole box."""
-    xs = x[i:i + VORTEX_ROWS + 4]
-    v = bohm._wrapped_gradient(bohm.vortex_phase(xs, x), dx, 2 * math.pi)[:, 2:-2, 2:-2]
-    speed = np.hypot(v[0], v[1])
-    r = np.hypot(xs[2:-2, None], x[None, 2:-2])
-    sel = (r >= 4 * dx) & (r <= n * dx / 4)
-    return np.abs(speed[sel] * r[sel] - 1.0)
-
-
-def _half_winding_box(x, i0, j0, size, dx):
-    """The two-sheeted field S = azimuth/2, R = 1 on the size x size box of
-    nodes from (i0, j0) of the grid with node coordinates x."""
-    X, Y = np.meshgrid(x[i0:i0 + size], x[j0:j0 + size], indexing="ij")
-    return bohm.synthetic_fields(np.ones((size, size)), 0.5 * np.arctan2(Y, X), dx,
-                                 phase_period=math.pi)
+    x = bohm.centered_axis(69, dx)
+    v = bohm.vortex_fields(x, dx, core_radius=2 * dx).v
+    r = np.hypot(x[:, None], x[None, :])
+    sel = (r >= 4 * dx) & (r <= 32 * dx)
+    return rows, float(np.abs(np.hypot(v[0], v[1])[sel] * r[sel] - 1.0).max())
 
 
 def _continuity_stage(n):
@@ -307,7 +270,7 @@ def _run_bohm_vortex(params):
     n = params["grid"]
     continuity = _continuity_stage(n)
     q_std = _harmonic_stage(n)
-    rows, profile_dev = _vortex_stage(n)
+    rows, profile_dev = _vortex_stage()
     inner, mid, outer, half_quanta = (row[2] for row in rows)
     spread = max(inner, mid, outer) - min(inner, mid, outer)
     claims = [
@@ -361,10 +324,12 @@ DISPERSION_B, DISPERSION_E0, DISPERSION_A = 0.3, 1.4, 0.7
 def _run_hopping_dispersion(params):
     spec = hopping.ChainSpec(params["sites"], DISPERSION_B, DISPERSION_E0, DISPERSION_A)
     disp = hopping.dispersion(spec)
-    # E(k) vs E(-k) symmetry over the paired modes
-    k = disp.k
-    e_of = dict(zip(k.tolist(), disp.energies.tolist()))
-    sym = max(abs(e_of[kk] - e_of[-kk]) for kk in k.tolist() if -kk in e_of)
+    # E(k) vs E(-k) symmetry over the paired modes: k is negated bit for bit
+    # about index n // 2, so s reversed is s at -k (an even n's lone -n/2
+    # mode has no pair and is left out)
+    n = spec.n_sites
+    s = disp.energies[n // 2 - (n - 1) // 2:]
+    sym = float(np.abs(s - s[::-1]).max())
     claims = [
         RatioCheck.relative("effective-mass-fit", disp.agreement, 1.0, 0.01),
         RatioCheck.upper_bound("dispersion-symmetry", sym,
@@ -661,9 +626,10 @@ for _exp in [
                {}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
-               # the outer loop reaches 50 sites from the centre; the stages
-               # stream blocks of rows, so a run's tracemalloc peak grows as
-               # the grid, not its square: 0.53 MiB at 256, 3.36 MiB at 2048
+               # the vortex stage runs on fixed boxes, so the grid moves only
+               # the continuity and Q + V claims; their stages stream blocks
+               # of rows, so a run's tracemalloc peak grows as the grid, not
+               # its square: 0.53 MiB at 256, 3.36 MiB at 2048
                {"grid": Param(256, choices=(128, 256, 512, 1024, 2048))},
                _run_bohm_vortex),
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",
