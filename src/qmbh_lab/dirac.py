@@ -223,10 +223,10 @@ def _rotation_table(times, omega):
     return table
 
 
-def _bloch_traces(packets, t_max, samples):
-    """(times, [<x> per packet], <sigma_x> of the first packet) in closed form,
-    for packets on one k grid. exp(-iHt) turns each mode's Bloch vector
-    s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
+def _bloch_traces(packets, t_max, samples, velocity=False):
+    """(times, [<x> per packet], <sigma_x> of the first packet or None unless
+    `velocity`) in closed form, for packets on one k grid. exp(-iHt) turns
+    each mode's Bloch vector s = a+ sigma a dk / norm about n = H(k)/E by 2Et, so
     <sigma_x> = sum [n_x n.s + cos(2Et)(s_x - n_x n.s) - sin(2Et) n_z s_y]
     and <x> is <x>(0) plus its exact time integral (d<x>/dt = <sigma_x>).
 
@@ -256,7 +256,7 @@ def _bloch_traces(packets, t_max, samples):
     sin_c, cos_c = coarse.imag, coarse.real
     sin_f, cos_f = fine.imag.copy().T, fine.real.copy().T  # (n_w, b) operands
     del fine
-    x_traces = []
+    x_traces, v = [], None
     for packet in packets:
         a0, a1 = packet.a
         weight = packet.dk / packet.norm()
@@ -269,7 +269,7 @@ def _bloch_traces(packets, t_max, samples):
         re -= sin_c * beat_sin
         im = sin_c * beat_cos
         im += cos_c * beat_sin
-        if not x_traces:
+        if velocity and not x_traces:
             v = drift.sum() + (re @ cos_f - im @ sin_f).ravel()[:samples]
         re /= omega
         im /= omega
@@ -296,7 +296,8 @@ def zbw_traces(packet, t_max, samples):
     closed-form evaluation over the same rotation tables; the branch's
     velocity is not computed."""
     pure = project_branch(packet, +1)
-    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples)
+    times, [x_mean, pure_x], v = _bloch_traces([packet, pure], t_max, samples,
+                                               velocity=True)
     return _fitted(times, x_mean), _fitted(times, v), _fitted(times, pure_x)
 
 

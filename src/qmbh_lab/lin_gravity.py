@@ -237,14 +237,11 @@ class ConfinementFit(NamedTuple):
     ratio_closed_form: float
 
 
-def confinement_profile(mass, r, include_linear=True):
-    """Near-zone trace -M/r plus (optionally) 2 M omega^2 r, omega = 2 M (hbar = c = 1)."""
+def confinement_profile(mass, r):
+    """Near-zone trace -M/r + 2 M omega^2 r, omega = 2 M (hbar = c = 1)."""
     r = np.asarray(r, dtype=np.float64)
     omega = 2 * mass
-    profile = -mass / r
-    if include_linear:
-        profile = profile + 2 * mass * omega**2 * r
-    return profile
+    return -mass / r + 2 * mass * omega**2 * r
 
 
 def confinement_expansion(s, mass, r_samples):

@@ -56,8 +56,7 @@ DEFAULT_CLAIM_IDS = {
                   "g-factor", "divergence-free-dipole"],
     "metric-slice": ["corotating-dt2-coefficient", "corotating-dr2-coefficient",
                      "null-slice-dt2"],
-    "shell-spin": ["ring-spin-half-hbar", "sphere-spin-pi-eighth-hbar",
-                   "double-radius-spin", "mass-quadrature", "far-potential-monopole"],
+    "shell-spin": ["sphere-spin-pi-eighth-hbar", "far-potential-monopole"],
     "charge-confinement": ["trace-potential-quadrature-vs-closed-form",
                            "mass-charge-cgs-ratio", "implied-charge-vs-elementary",
                            "trace-potential-slope", "trace-coefficient-consistency",
