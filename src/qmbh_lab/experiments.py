@@ -289,9 +289,8 @@ def _run_bohm_vortex(params):
     }
 
 
-# the luminal ring's element count: its element sums are exact
-# (`lin_gravity._exact_sums`), so the count moves claims and tables by
-# round-off at most
+# the luminal ring's element count: its mass and spin are exact sums
+# (`math.fsum`), so the count moves claims and tables by round-off at most
 RING_ELEMENTS = 1024
 
 
@@ -479,8 +478,8 @@ def _run_neg_energy_scan(params):
 
 def _run_kn_horizon(params):
     rows = []
-    for name in MASSIVE:
-        kpp = kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES[name])
+    for name, particle in BUILTIN_PARTICLES.items():
+        kpp = kerr_newman.KNParams.from_particle(particle)
         hh = kerr_newman.horizons(kpp)
         rows.append([name, kpp.m_star, kpp.a_star, kpp.q_star,
                      hh.r_plus.real, hh.r_plus.imag, str(hh.naked)])
@@ -609,8 +608,7 @@ def _run_charge_confinement(params):
     }
 
 
-MASSIVE = tuple(BUILTIN_PARTICLES)
-PARTICLE = Param("electron", choices=MASSIVE)
+PARTICLE = Param("electron", choices=tuple(BUILTIN_PARTICLES))
 # hopping-dispersion's fit window |k b| <= 0.1 holds 5 modes from 126 sites on
 SITES = (128, 4096)
 

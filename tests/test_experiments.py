@@ -161,7 +161,7 @@ class TestRegistry:
     @pytest.mark.parametrize("exp_id, key, inside, outside, given", [
         # sphere-spin-pi-eighth-hbar (1e-4) fails at 16 shell elements
         *[("shell-spin", "sphere_elements", "400", "399", {"particle": particle})
-          for particle in experiments.MASSIVE],
+          for particle in experiments.PARTICLE.choices],
         # dispersion-vs-relativity's Taylor-order bound is a small-p one
         ("dispersion-vs-relativity", "p_max_frac", "0.1", "0.11", {}),
     ])
@@ -234,7 +234,7 @@ class TestRegistry:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_particle_domain_is_the_massive_catalog(self):
-        assert experiments.MASSIVE == ("electron", "proton", "muon", "charm")
+        assert experiments.PARTICLE.choices == ("electron", "proton", "muon", "charm")
 
     def test_zbw_periods_above_window_bound_passes(self, tmp_path):
         report = experiments.run(experiments.ExperimentSpec("zbw", {"periods": "4.5"},
@@ -306,7 +306,7 @@ class TestNoLapack:
         specs = [(exp_id, {}) for exp_id in experiments.EXPERIMENTS]
         specs += [(exp_id, {"particle": p})
                   for exp_id in ("shell-spin", "kn-fields", "kn-horizon", "ring-model")
-                  for p in experiments.MASSIVE]
+                  for p in experiments.PARTICLE.choices]
         specs += [("emergent-mass", {"sites": n}) for n in experiments.SITES]
         for i, (exp_id, params) in enumerate(specs):
             report = experiments.run(experiments.ExperimentSpec(exp_id, params,
