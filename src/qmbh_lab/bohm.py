@@ -13,18 +13,11 @@ natural unit is pi per half quantum.
 Evolution is free (no potential) and exact on a periodic grid: the kinetic
 phases of the steps compose, exp(-i k^2 dt/2)^s = exp(-i k^2 s dt/2), so
 `steps` steps of dt are one FFT pair (Feit, Fleck & Steiger, J. Comput.
-Phys. 47, 412, 1982). The phase is separable, exp(-i c (kx^2 + ky^2)) = p(kx) p(ky), so it
-is the outer product of n one-dimensional exponentials; a Gaussian state is
-likewise the outer product of its 1-D envelope-times-plane-wave factors.
-So a product state fa(x) fb(y) stays a product under free evolution, and its
-density, velocity, flux divergence and Q follow from the 1-D factors
-(`evolve_factor`, `product_continuity_residual`, `product_q_plus_v_std`).
-Their maxima and means over the n x n sites are taken in blocks of
-PRODUCT_ROWS rows, so they hold no n x n grid. NumPy sums each block and the
-block sums are added exactly and rounded once (`_block_mean`); at every
-bohm-vortex `grid` the claims keep the bits of the full-grid np.mean and
-np.std. The 2-D functions remain for general states.
-The unit vortex tanh(r/r0) e^{i azimuth} is likewise built straight from its
+Phys. 47, 412, 1982). The phase is separable, exp(-i c (kx^2 + ky^2)) =
+p(kx) p(ky), so it is the outer product of n one-dimensional exponentials;
+a Gaussian state is likewise the outer product of its 1-D
+envelope-times-plane-wave factors.
+The unit vortex tanh(r/r0) e^{i azimuth} is built straight from its
 real R and S (`vortex_amplitude`, `vortex_phase`, and `vortex_fields` on a
 square box), with no complex grid, on any nodes given by their coordinates,
 so bohm-vortex builds it only on small fixed boxes about its axis;
@@ -45,8 +38,6 @@ import numpy as np
 from .constants import require
 
 NODE_MASK_RELATIVE_THRESHOLD = 1e-8
-# rows per block of the product-state stages' n x n sums and maxima
-PRODUCT_ROWS = 64
 
 
 def centered_axis(n, dx):
@@ -130,20 +121,14 @@ def _half_wavenumbers(n, dx):
     return kx[:, None], ky[None, :]
 
 
-def _kinetic_phase(n, dx, dt, steps):
-    """The 1-D factor exp(-i k^2 (steps dt) / 2) of the free propagator over
-    `steps` steps of dt, in FFT order."""
-    require("dx", dx)
+def evolve(grid, dt, steps):
+    """Free evolution for `steps` steps of size dt: one exact k-space phase,
+    the outer product of the 1-D factor exp(-i k^2 (steps dt) / 2)."""
     require("dt", dt, -math.inf)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    return np.exp(-0.5j * k**2 * (steps * dt))
-
-
-def evolve(grid, dt, steps):
-    """Free evolution for `steps` steps of size dt: one exact k-space phase."""
-    p = _kinetic_phase(grid.n, grid.dx, dt, steps)
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    p = np.exp(-0.5j * k**2 * (steps * dt))
     return WaveGrid2D(np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi)), grid.dx)
 
 
@@ -261,12 +246,15 @@ def _spectral_divergence(fx, fy, dx):
 
 
 def quantum_potential(fields):
-    """Q = -lap(R)/(2R), masked at nodes."""
+    """Q = -lap(R)/(2R) as a plain array; the sites of `fields.node_mask`
+    hold 0, since Q is not defined at a node. Read Q off the nodes with
+    `q[~fields.node_mask]`."""
     if bool(fields.node_mask.all()):
         raise ValueError("no off-mask region: field is zero everywhere")
     lap = _spectral_laplacian(fields.R, fields.dx)
     q = -0.5 * lap / np.where(fields.node_mask, 1.0, fields.R)
-    return np.ma.masked_array(q, mask=fields.node_mask)
+    q[fields.node_mask] = 0.0
+    return q
 
 
 class LoopPath:
@@ -347,7 +335,13 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
 
     Time derivative is centered over 2*dt; the flux divergence is spectral.
     Returns RMS(residual) / max over the grid of either term's magnitude.
+    The three grids must share n and dx.
     """
+    require("dt", dt)
+    for name, g in (("grid_minus", grid_minus), ("grid_plus", grid_plus)):
+        if (g.n, g.dx) != (grid_center.n, grid_center.dx):
+            raise ValueError(f"{name} must be on grid_center's grid (n = {grid_center.n}, "
+                             f"dx = {grid_center.dx!r}); got n = {g.n}, dx = {g.dx!r}")
     rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
     f = decompose(grid_center)
     flux = np.where(f.node_mask, 0.0, f.v) * f.density()
@@ -355,111 +349,3 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
     scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
     return float(np.sqrt(np.mean((rho_dot + div) ** 2))) / scale
 
-
-# Product states. The free propagator's phase is p(kx) p(ky), so a state
-# fa(x) fb(y) stays a product; its density, velocity and Q follow from the
-# two 1-D factors without any n x n complex grid.
-
-def evolve_factor(f, dx, dt, steps):
-    """One factor of a product state evolved freely: `evolve` of outer(fa, fb)
-    is the outer product of the two evolved factors."""
-    if np.ndim(f) != 1 or not np.isfinite(f).all():
-        raise ValueError("factor must be a finite 1-D array")
-    return np.fft.ifft(_kinetic_phase(len(f), dx, dt, steps) * np.fft.fft(f))
-
-
-def _rfft_derivative(f, dx, order):
-    """d^order f/dx^order of a real periodic 1-D grid by a real FFT; for the
-    first derivative the Nyquist term is zeroed, as in `_spectral_divergence`."""
-    k = 2 * np.pi * np.fft.rfftfreq(f.size, d=dx)
-    if order == 1:
-        k[-1] = 0.0
-    return np.fft.irfft((1j * k) ** order * np.fft.rfft(f), f.size)
-
-
-def product_continuity_residual(fa, fb, dx, dt, steps):
-    """`continuity_residual` of the packet outer(fa, fb) evolved by steps - 1,
-    steps and steps + 1 steps of dt, from its 1-D factors.
-
-    rho = ra^2 rb^2 and S = Sa(x) + Sb(y), so div(rho v) is
-    (ra^2 va)' rb^2 + ra^2 (rb^2 vb)'. Nodes are not masked: there rho is
-    below 1e-16 of its peak, so the flux is too. rho_dot and div are formed
-    in blocks of PRODUCT_ROWS rows, each with the full grid's operations, and
-    the maxima and mean are taken over the blocks: no n x n grid is held.
-    """
-    require("dt", dt)
-    require("steps", steps, 0)
-    factors = []
-    for f in (fa, fb):
-        minus, plus = (np.abs(evolve_factor(f, dx, dt, s)) ** 2
-                       for s in (steps - 1, steps + 1))
-        mid = evolve_factor(f, dx, dt, steps)
-        rho = np.abs(mid) ** 2
-        if not rho.any():
-            raise ValueError("cannot decompose an identically zero field")
-        v = _wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0]
-        factors.append((minus, rho, plus, _rfft_derivative(rho * v, dx, 1)))
-    (am, a, ap, da), (bm, b, bp, db) = factors
-    scale = 0.0
-
-    def squared_residual(rows):
-        nonlocal scale
-        rho_dot = np.outer(ap[rows], bp)
-        div = np.outer(am[rows], bm)
-        rho_dot -= div
-        rho_dot /= 2 * dt
-        np.outer(da[rows], b, out=div)
-        div += np.outer(a[rows], db)
-        # max |g| without a block of |g|
-        scale = max(scale, *(max(float(g.max()), -float(g.min())) for g in (rho_dot, div)))
-        rho_dot += div
-        rho_dot **= 2
-        return rho_dot.ravel()
-
-    return math.sqrt(_block_mean(squared_residual, len(a))) / scale
-
-
-def product_q_plus_v_std(r, dx, potential):
-    """Std of Q + V over the off-node sites of the amplitude R = outer(r, r)
-    in the potential V = potential(x) + potential(y).
-
-    Q = q(x) + q(y) with q = -r''/(2 r), so Q + V = h(x) + h(y) with
-    h = q + potential. Where r is below the node threshold q is not divided;
-    the sites kept are those where R is not below it, as in `decompose`. The
-    amplitude is non-negative, so R's peak is r's squared, and a block's R
-    is the same rounded products np.outer(r, r) holds. The kept sites are
-    found, and their mean and std taken (two passes, as np.std), in blocks
-    of PRODUCT_ROWS rows by `_block_mean`, which counts them as it goes.
-    """
-    require("dx", dx)
-    if not (r >= 0).all():
-        raise ValueError("amplitude r must be non-negative, with no nan")
-    peak = float(r.max())
-    if peak == 0.0:
-        raise ValueError("cannot decompose an identically zero field")
-    h = _rfft_derivative(r, dx, 2)
-    h *= -0.5
-    h /= np.where(r < NODE_MASK_RELATIVE_THRESHOLD * peak, 1.0, r)
-    h += potential(centered_axis(r.size, dx))
-    threshold = NODE_MASK_RELATIVE_THRESHOLD * (peak * peak)
-
-    def kept_values(rows):
-        kept = np.outer(r[rows], r) >= threshold  # R's block freed before Q + V's
-        return np.add.outer(h[rows], h)[kept]
-
-    mean = _block_mean(kept_values, r.size)
-    return math.sqrt(_block_mean(lambda rows: np.square(kept_values(rows) - mean), r.size))
-
-
-def _block_mean(block, n_rows):
-    """Mean of the values of the 1-D float64 arrays block(rows) over the
-    blocks of PRODUCT_ROWS of n_rows rows. NumPy sums each block; the block
-    sums are added exactly and rounded once (`math.fsum`; Shewchuk, Discrete
-    Comput. Geom. 18, 305, 1997). Each block is freed before the next is made."""
-    sums, count = [], 0
-    for i in range(0, n_rows, PRODUCT_ROWS):
-        values = block(slice(i, i + PRODUCT_ROWS))
-        sums.append(float(np.add.reduce(values)))
-        count += values.size
-        del values
-    return math.fsum(sums) / count

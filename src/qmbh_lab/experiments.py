@@ -212,6 +212,10 @@ def _run_constants_report(params):
 # nodes i dx is one lattice function for every dx, so its claims move with dx
 # by round-off only
 VORTEX_DX = 0.1
+# the side of bohm-vortex's continuity and Q + V grids; a finer grid makes
+# neither claim better: the continuity residual is set by the O(dt^2) time
+# difference, and the Q + V spread grows with the largest k
+BOHM_GRID = 64
 
 
 def _vortex_stage(dx=VORTEX_DX):
@@ -249,27 +253,28 @@ def _vortex_stage(dx=VORTEX_DX):
     return rows, float(np.abs(np.hypot(v[0], v[1])[sel] * r[sel] - 1.0).max())
 
 
-def _continuity_stage(n):
-    """Continuity residual of a free packet evolved to 399, 400 and 401 steps;
-    the packet is a product state, so this runs on its 1-D factors."""
-    dx = 40.0 / n
-    fa, fb = (bohm.gaussian_factor(n, dx, sigma=1.5, k=kc) for kc in (1.0, 0.5))
-    return bohm.product_continuity_residual(fa, fb, dx, 5e-4, 400)
+def _continuity_stage():
+    """Continuity residual of a free packet evolved to 399, 400 and 401 steps."""
+    dx, dt = 40.0 / BOHM_GRID, 5e-4
+    g = bohm.gaussian_state(BOHM_GRID, dx, sigma=1.5, k=(1.0, 0.5))
+    return bohm.continuity_residual(*(bohm.evolve(g, dt, s) for s in (399, 400, 401)), dt)
 
 
-def _harmonic_stage(n):
-    """Std of Q + V over a stationary harmonic state (constant at E). R and V
-    are separable, so Q + V = h(x) + h(y) with h = q + x^2/2."""
-    dx = 16.0 / n
-    ra = np.abs(bohm.gaussian_factor(n, dx, sigma=math.sqrt(0.5)))
-    return bohm.product_q_plus_v_std(ra, dx, lambda x: x**2 / 2)
+def _harmonic_stage():
+    """Std of Q + V off the nodes of the harmonic ground state e^{-V}, with
+    V = (x^2 + y^2)/2; it is stationary, so Q + V is constant at E = 1."""
+    dx = 16.0 / BOHM_GRID
+    x = bohm.centered_axis(BOHM_GRID, dx)
+    v = np.add.outer(x**2, x**2) / 2
+    f = bohm.decompose(bohm.WaveGrid2D(np.exp(-v), dx))
+    total = bohm.quantum_potential(f) + v
+    return float(total[~f.node_mask].std())
 
 
 def _run_bohm_vortex(params):
     # one stage at a time, so each stage's grids are freed before the next
-    n = params["grid"]
-    continuity = _continuity_stage(n)
-    q_std = _harmonic_stage(n)
+    continuity = _continuity_stage()
+    q_std = _harmonic_stage()
     rows, profile_dev = _vortex_stage()
     inner, mid, outer, half_quanta = (row[2] for row in rows)
     spread = max(inner, mid, outer) - min(inner, mid, outer)
@@ -619,12 +624,7 @@ for _exp in [
                {}, _run_constants_report),
     Experiment("bohm-vortex",
                "vortex circulation quantization, continuity, Q constancy",
-               # the vortex stage runs on fixed boxes, so the grid moves only
-               # the continuity and Q + V claims; their stages stream blocks
-               # of rows, so a run's tracemalloc peak grows as the grid, not
-               # its square: 0.53 MiB at 256, 3.36 MiB at 2048
-               {"grid": Param(256, choices=(128, 256, 512, 1024, 2048))},
-               _run_bohm_vortex),
+               {}, _run_bohm_vortex),
     Experiment("ring-model", "thin-ring radius/energy with quadrature identities",
                {"particle": PARTICLE}, _run_ring_model),
     Experiment("hopping-dispersion", "chain spectrum and curvature mass fit",

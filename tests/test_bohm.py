@@ -205,6 +205,17 @@ class TestQuantumPotential:
         assert float(total[off].mean()) == pytest.approx(1.0, abs=1e-6)
         assert float(total[off].std()) <= 1e-3
 
+    def test_plain_array_with_zero_at_nodes(self):
+        g, v = harmonic_ground_state(n=64)
+        f = bohm.decompose(g)
+        q = bohm.quantum_potential(f)
+        assert type(q) is np.ndarray
+        assert f.node_mask.any() and not q[f.node_mask].any()
+        # the off-node sites hold -lap(R)/(2R) from the full-grid Laplacian
+        lap = bohm._spectral_laplacian(f.R, f.dx)
+        off = ~f.node_mask
+        assert np.array_equal(q[off], -0.5 * lap[off] / f.R[off])
+
     def test_plane_wave_zero(self):
         n = 64
         x = (np.arange(n) - n // 2) * 0.2
@@ -430,195 +441,6 @@ def full_grid_vortex_stage(f, dx):
     return rows, np.abs(speed[sel] * r[sel] - 1.0)
 
 
-def four_outer_continuity_residual(n):
-    """Reference: `experiments._continuity_stage` with each of the four outer
-    products a grid of its own and the scale read from |g| grids."""
-    dx, dt, steps = 40.0 / n, 5e-4, 400
-    factors = []
-    for kc in (1.0, 0.5):
-        f = bohm.gaussian_factor(n, dx, sigma=1.5, k=kc)
-        minus, plus = (np.abs(bohm.evolve_factor(f, dx, dt, s)) ** 2
-                       for s in (steps - 1, steps + 1))
-        mid = bohm.evolve_factor(f, dx, dt, steps)
-        rho = np.abs(mid) ** 2
-        v = bohm._wrapped_gradient(np.angle(mid), dx, 2 * math.pi)[0]
-        factors.append((minus, rho, plus, bohm._rfft_derivative(rho * v, dx, 1)))
-    (am, a, ap, da), (bm, b, bp, db) = factors
-    rho_dot = (np.outer(ap, bp) - np.outer(am, bm)) / (2 * dt)
-    div = np.outer(da, b) + np.outer(a, db)
-    scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
-    return float(np.sqrt(np.mean((rho_dot + div) ** 2))) / scale
-
-
-def full_grid_q_plus_v_std(n):
-    """Reference: `experiments._harmonic_stage` by np.std of the kept sites of
-    the full Q + V grid, selected by the full R grid."""
-    dx, thr = 16.0 / n, bohm.NODE_MASK_RELATIVE_THRESHOLD
-    r = np.abs(bohm.gaussian_factor(n, dx, sigma=math.sqrt(0.5)))
-    h = bohm._rfft_derivative(r, dx, 2) * -0.5 / np.where(r < thr * r.max(), 1.0, r)
-    h += bohm.centered_axis(n, dx) ** 2 / 2
-    R = np.outer(r, r)
-    return float(np.add.outer(h, h)[R >= thr * R.max()].std())
-
-
-def peak_bytes(stage, n):
-    """tracemalloc peak of stage(n) in bytes, after one warm-up call (the FFT
-    plan caches are not the stage's working set)."""
-    stage(n)
-    tracemalloc.start()
-    try:
-        stage(n)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def peak_rows(stage, n):
-    """`peak_bytes` in rows of n float64 values: a bound on it that does not
-    depend on n is a working set that grows as n, not n^2."""
-    return peak_bytes(stage, n) / (8 * n)
-
-
-class TestProductStates:
-    """The product-state forms of the bohm-vortex stages against the 2-D
-    reference paths they replace."""
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_factor_evolution_matches_2d_evolve(self, n):
-        dx, dt = 40.0 / n, 5e-4
-        fa, fb = (bohm.gaussian_factor(n, dx, 1.5, k=k) for k in (1.0, 0.5))
-        norm = math.sqrt(np.sum(np.abs(fa) ** 2) * np.sum(np.abs(fb) ** 2)) * dx
-        psi = bohm.evolve(bohm.gaussian_state(n, dx, 1.5, k=(1.0, 0.5)), dt, 400).psi
-        outer = np.outer(*(bohm.evolve_factor(f, dx, dt, 400) for f in (fa, fb))) / norm
-        assert np.max(np.abs(outer - psi)) <= 1e-13 * np.max(np.abs(psi))
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_continuity_stage_matches_2d_residual(self, n):
-        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
-        ref = bohm.continuity_residual(
-            *(bohm.evolve(g, 5e-4, steps) for steps in (399, 400, 401)), 5e-4)
-        assert experiments._continuity_stage(n) == pytest.approx(ref, rel=1e-5)
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_harmonic_stage_matches_2d_quantum_potential(self, n):
-        g = bohm.gaussian_state(n, 16.0 / n, sigma=math.sqrt(0.5))
-        x = g.axis()
-        f = bohm.decompose(g)
-        total = bohm.quantum_potential(f) + np.add.outer(x**2, x**2) / 2
-        ref = float(total[~f.node_mask].std())
-        std = experiments._harmonic_stage(n)
-        assert abs(std - ref) <= 1e-5
-        assert max(std, ref) < 1e-4
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_continuity_stage_same_bits_as_four_outer_products(self, n):
-        assert experiments._continuity_stage(n) == four_outer_continuity_residual(n)
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_harmonic_stage_same_bits_as_np_std(self, n):
-        assert experiments._harmonic_stage(n) == full_grid_q_plus_v_std(n)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_block_mean_within_eps_of_the_exact_mean(self, seed):
-        # blocks of any sizes, empty ones included; the oracle is the
-        # correctly rounded sum of all the values. The last input's twelve
-        # block sums cancel: a plain left-to-right sum of them drops every
-        # 1.0 against 1e16 and gives 0, off by 0.83 against a bound of 0.37
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(20000) * 10.0 ** rng.uniform(-6, 6, 20000)
-        inputs = [np.split(values[:size], np.sort(rng.integers(0, size, 40)))
-                  for size in (1, 129, 1000, 16392, 20000)]
-        inputs.append([np.array([x]) for x in (1e16, *[1.0] * 10, -1e16)])
-        for blocks in inputs:
-            mean = bohm._block_mean(lambda rows: blocks[rows.start // bohm.PRODUCT_ROWS],
-                                    len(blocks) * bohm.PRODUCT_ROWS)
-            flat = np.concatenate(blocks)
-            exact = math.fsum(flat) / flat.size
-            scale = math.fsum(np.abs(flat)) / flat.size
-            assert abs(mean - exact) <= np.finfo(float).eps * scale
-
-    def test_q_plus_v_std_within_4_ulps_of_exact_std_on_any_amplitude(self):
-        # repeated values and zeros, so the kept sites of a row are no
-        # interval; with a peak of 1, r = 1e-8 and 1 meet on the threshold.
-        # The oracle is the two-pass std of the full grid's kept sites, each
-        # pass summed exactly
-        rng = np.random.default_rng(0)
-        dx, thr = 0.1, bohm.NODE_MASK_RELATIVE_THRESHOLD
-        for _ in range(200):
-            n = int(rng.integers(2, 70))
-            r = rng.choice([0.0, 1e-8, 2e-8, 1e-4, 0.5, 1.0], n)
-            r[0] = 1.0
-            h = bohm._rfft_derivative(r, dx, 2) * -0.5 / np.where(r < thr, 1.0, r)
-            h += np.sin(bohm.centered_axis(n, dx))
-            R = np.outer(r, r)
-            kept = np.add.outer(h, h)[R >= thr * R.max()]
-            mean = math.fsum(kept) / kept.size
-            ref = math.sqrt(math.fsum(np.square(kept - mean)) / kept.size)
-            std = bohm.product_q_plus_v_std(r, dx, np.sin)
-            assert abs(std - ref) <= 4 * math.ulp(ref)
-
-    def test_continuity_stage_working_set(self):
-        # three blocks of rows (rho_dot, div and an outer product of a block)
-        # and the 1-D factors: 240 rows at 512, 215 at 2048
-        for n in (512, 2048):
-            assert peak_rows(experiments._continuity_stage, n) <= 4 * bohm.PRODUCT_ROWS
-
-    def test_harmonic_stage_working_set(self):
-        # a block of Q + V, its kept sites and its site mask; the block of R
-        # that the mask is taken from is freed first: 122 rows at 512, 123
-        # at 2048
-        for n in (512, 2048):
-            assert peak_rows(experiments._harmonic_stage, n) <= 2.5 * bohm.PRODUCT_ROWS
-
-    def test_vortex_stage_working_set(self):
-        # the fields of the 101 x 101 loop box, freed before those of the
-        # 69 x 69 profile box: 0.36 MiB at every grid, 92 rows at 512 and
-        # 23 at 2048
-        for n in (512, 2048):
-            assert peak_rows(lambda n: experiments._vortex_stage(), n) <= 200
-
-    def test_runner_working_set_at_grid_2048(self):
-        # the stages run in turn: the continuity stage sets the peak, 0.53
-        # MiB at grid 256 and 3.36 MiB at 2048. At 256 the bound also
-        # catches a vortex stage that takes v on the whole loop box (0.69 MiB)
-        for n, bound in ((256, 0.6 * 2**20), (2048, 4 * 2**20)):
-            peak = peak_bytes(lambda n: experiments._run_bohm_vortex({"grid": n}), n)
-            assert peak <= bound
-
-    @pytest.mark.parametrize("n", GRIDS)
-    def test_vortex_state_matches_meshgrid_form(self, n):
-        dx = 0.1
-        x = (np.arange(n) - n // 2) * dx
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        psi = np.tanh(np.hypot(X, Y) / (2 * dx)) * np.exp(1j * np.arctan2(Y, X))
-        assert np.array_equal(bohm.vortex_state(n, dx, core_radius=2 * dx).psi, psi)
-
-    @pytest.mark.parametrize("n", [*GRIDS, 2048])
-    @pytest.mark.parametrize("dx", [0.1, 0.37])
-    def test_box_velocity_profile_matches_full_grid(self, n, dx):
-        # the stage builds the vortex on two fixed boxes about its axis and
-        # takes v over grid 128's annulus, r <= 32 dx; the same fields over
-        # the whole grid, with its n dx / 4 annulus, give the same bits
-        rows, dev = experiments._vortex_stage(dx)
-        f = bohm.vortex_fields(bohm.centered_axis(n, dx), dx, core_radius=2 * dx)
-        rows_full, devs = full_grid_vortex_stage(f, dx)
-        assert (rows, dev) == (rows_full, devs.max())
-
-    def test_factor_checks(self):
-        f = bohm.gaussian_factor(64, 0.2, 1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            bohm.evolve_factor(f, 0.2, 1e-3, -1)
-        with pytest.raises(ValueError, match="finite"):
-            bohm.evolve_factor(np.where(np.arange(64) == 3, np.nan, f), 0.2, 1e-3, 1)
-        with pytest.raises(ValueError, match="identically zero"):
-            bohm.product_continuity_residual(f, np.zeros(64), 0.2, 1e-3, 1)
-        with pytest.raises(ValueError, match="identically zero"):
-            bohm.product_q_plus_v_std(np.zeros(64), 0.2, np.zeros_like)
-        with pytest.raises(ValueError, match="non-negative"):
-            bohm.product_q_plus_v_std(np.where(np.arange(64) == 3, -1.0, f.real), 0.2,
-                                      np.zeros_like)
-
-
 class TestVortexFields:
     """bohm-vortex builds its vortex from the real R and S; the oracle is the
     Madelung split of the complex vortex state."""
@@ -648,3 +470,34 @@ class TestVortexFields:
         for row, row_ref in zip(rows[:3], rows_ref[:3]):
             assert row[0] == row_ref[0]
             assert row[1] == pytest.approx(row_ref[1], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_vortex_state_matches_meshgrid_form(self, n):
+        dx = 0.1
+        x = (np.arange(n) - n // 2) * dx
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        psi = np.tanh(np.hypot(X, Y) / (2 * dx)) * np.exp(1j * np.arctan2(Y, X))
+        assert np.array_equal(bohm.vortex_state(n, dx, core_radius=2 * dx).psi, psi)
+
+    @pytest.mark.parametrize("n", [*GRIDS, 2048])
+    @pytest.mark.parametrize("dx", [0.1, 0.37])
+    def test_box_velocity_profile_matches_full_grid(self, n, dx):
+        # the stage builds the vortex on two fixed boxes about its axis and
+        # takes v over grid 128's annulus, r <= 32 dx; the same fields over
+        # the whole grid, with its n dx / 4 annulus, give the same bits
+        rows, dev = experiments._vortex_stage(dx)
+        f = bohm.vortex_fields(bohm.centered_axis(n, dx), dx, core_radius=2 * dx)
+        rows_full, devs = full_grid_vortex_stage(f, dx)
+        assert (rows, dev) == (rows_full, devs.max())
+
+    def test_vortex_stage_working_set(self):
+        # the fields of the 101 x 101 loop box, freed before those of the
+        # 69 x 69 profile box: 0.36 MiB. The bound catches a stage that
+        # takes v on the whole loop box (0.69 MiB)
+        tracemalloc.start()
+        try:
+            experiments._vortex_stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20

@@ -57,15 +57,19 @@ CASES = [
     ("mass", lambda: kerr_newman.KNParams(NAN, 1.0, 1.0)),
     ("a", lambda: kerr_newman.metric_slice(NAN, 0.0, 0.0, 1.0, math.pi / 2, 0.5)),
     ("mass", lambda: ParticleSpec("x", NAN, 0.0, 0.5)),
-    ("dt", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, NAN, 1)),
-    ("dt", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, 0.0, 1)),
-    ("steps", lambda: bohm.product_continuity_residual(FACTOR, FACTOR, 0.2, 1e-3, 0)),
-    ("dt", lambda: bohm.evolve_factor(FACTOR, 0.2, NAN, 1)),
+    ("dt", lambda: bohm.continuity_residual(*TRIPLE, NAN)),
+    ("dt", lambda: bohm.continuity_residual(*TRIPLE, 0.0)),
+    ("steps", lambda: bohm.evolve(TRIPLE[0], 1e-3, -1)),
+    ("dt", lambda: bohm.continuity_residual(*TRIPLE, -5e-4)),
     ("dt", lambda: bohm.evolve(bohm.gaussian_state(64, 0.2, 1.0), NAN, 1)),
     ("core_radius", lambda: bohm.vortex_state(64, 0.1, core_radius=0.0)),
     ("core_radius", lambda: bohm.vortex_fields(bohm.centered_axis(64, 0.1), 0.1, 0.0)),
     ("r", lambda: lin_gravity.shell_trace_a0(RING, [NAN, 1e4])),
     ("r", lambda: lin_gravity.shell_trace_a0(RING, [0.0, 1e4])),
+    ("grid_plus", lambda: bohm.continuity_residual(
+        *TRIPLE[:2], bohm.gaussian_state(128, 40.0 / 128, 1.5), 5e-4)),
+    ("grid_minus", lambda: bohm.continuity_residual(
+        bohm.WaveGrid2D(TRIPLE[0].psi, 0.5), *TRIPLE[1:], 5e-4)),
 ]
 
 
@@ -107,7 +111,9 @@ SPAN = float(TRACE.times[-1] - TRACE.times[0])
 KN_ELECTRON = kerr_newman.KNParams.from_particle(BUILTIN_PARTICLES["electron"])
 
 
-FACTOR = bohm.gaussian_factor(64, 0.2, 1.0)
+# an evolved 64-grid triple, as bohm-vortex's continuity stage takes it
+TRIPLE = [bohm.evolve(bohm.gaussian_state(64, 40.0 / 64, 1.5, k=(1.0, 0.5)), 5e-4, steps)
+          for steps in (399, 400, 401)]
 
 
 def far_potential_among_good_radii(r):
@@ -134,12 +140,9 @@ ENTRY_POINTS = [
      {"dx": POSITIVE, "sigma": POSITIVE}),
     (bohm.evolve, dict(grid=bohm.gaussian_state(64, 0.2, 1.0), dt=1e-3, steps=1),
      {"dt": FINITE}),
-    (bohm.evolve_factor, dict(f=FACTOR, dx=0.2, dt=1e-3, steps=1),
-     {"dx": POSITIVE, "dt": FINITE}),
-    (bohm.product_continuity_residual, dict(fa=FACTOR, fb=FACTOR, dx=0.2, dt=1e-3, steps=1),
-     {"dx": POSITIVE, "dt": POSITIVE, "steps": at_least(1)}),
-    (bohm.product_q_plus_v_std, dict(r=np.abs(FACTOR), dx=0.2, potential=np.zeros_like),
-     {"dx": POSITIVE}),
+    (bohm.continuity_residual, dict(zip(("grid_minus", "grid_center", "grid_plus"), TRIPLE),
+                                    dt=5e-4),
+     {"dt": POSITIVE}),
     (bohm.vortex_state, dict(n=64, dx=0.1, core_radius=0.2), {"core_radius": POSITIVE}),
     (bohm.vortex_fields, dict(x=bohm.centered_axis(64, 0.1), dx=0.1, core_radius=0.2),
      {"core_radius": POSITIVE}),

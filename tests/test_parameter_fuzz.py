@@ -33,10 +33,8 @@ def _inside(p):
 
 
 def _outside(p):
-    if p.choices is not None:
-        if isinstance(p.default, str):
-            return st.sampled_from(["neutrino", "positronium"])
-        return st.integers(1, 1 << 13).filter(lambda v: v not in p.choices)
+    if p.choices is not None:  # the particle names
+        return st.sampled_from(["neutrino", "positronium"])
     if isinstance(p.default, int):
         return st.sampled_from([p.lo - 1, p.hi + 1])
     below = p.lo if p.lo_open else math.nextafter(p.lo, -math.inf)
@@ -52,9 +50,7 @@ def _draws(draw, exp, inside_only=False):
     for key, p in exp.params.items():
         if inside_only and key in TOLERANCES:
             continue
-        if key == "grid":
-            strategy = st.sampled_from([128, 256])
-        elif key == "samples":  # zbw's rule: at least 20 samples per period
+        if key == "samples":  # zbw's rule: at least 20 samples per period
             strategy = st.integers(max(p.lo, math.ceil(20 * params["periods"])), p.hi)
         else:
             strategy = _inside(p)
