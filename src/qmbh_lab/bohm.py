@@ -22,11 +22,13 @@ real R and S (`vortex_amplitude`, `vortex_phase`, and `vortex_fields` on a
 square box), with no complex grid, on any nodes given by their coordinates,
 so bohm-vortex builds it only on small fixed boxes about its axis;
 `vortex_state` and `decompose` of the full grid remain its reference.
-Fields that are real (R, and the fluxes rho v) are differentiated with
-real FFTs over the half spectrum (Sorensen et al., IEEE Trans. ASSP 35,
-849, 1987). The velocity v of a `MadelungFields` is computed from S on
-first read, since the circulation and Q never need it. Potentials are not
-evolved; Q + V is only evaluated on a given state.
+Laplacians are spectral, one complex FFT pair each. The continuity check
+takes the current j = Im(psi* grad psi) = rho v from psi itself, through the
+identity div j = Im(psi* lap psi), so it needs neither the phase nor a node
+mask and holds through a node in motion. The velocity v of a
+`MadelungFields` is computed from S on first read, since the circulation and
+Q never need it. Potentials are not evolved; Q + V is only evaluated on a
+given state.
 """
 
 import functools
@@ -113,12 +115,9 @@ def vortex_fields(x, dx, core_radius):
     return synthetic_fields(R, vortex_phase(x, x), dx)
 
 
-def _half_wavenumbers(n, dx):
-    """Angular wavenumbers of the rfft2 half spectrum of an n x n grid: kx as
-    an (n, 1) column in FFT order, ky as a (1, n//2 + 1) row."""
-    kx = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    ky = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
-    return kx[:, None], ky[None, :]
+def _wavenumbers(n, dx):
+    """Angular wavenumbers of an n-node periodic axis of spacing dx, in FFT order."""
+    return 2 * np.pi * np.fft.fftfreq(n, d=dx)
 
 
 def evolve(grid, dt, steps):
@@ -127,7 +126,7 @@ def evolve(grid, dt, steps):
     require("dt", dt, -math.inf)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k = _wavenumbers(grid.n, grid.dx)
     p = np.exp(-0.5j * k**2 * (steps * dt))
     return WaveGrid2D(np.fft.ifft2(np.outer(p, p) * np.fft.fft2(grid.psi)), grid.dx)
 
@@ -150,9 +149,6 @@ class MadelungFields:
     def n(self):
         return self.R.shape[0]
 
-    def density(self):
-        return self.R**2
-
     @functools.cached_property
     def v(self):
         return _wrapped_gradient(self.S, self.dx, self.phase_period)
@@ -169,38 +165,16 @@ def _wrapped_gradient(S, dx, period):
 
     Each unit grid step is unwrapped into (-period/2, period/2]; cumulative
     two-step offsets are built from those, then combined with the 4th-order
-    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx). The steps are
-    taken once on S padded periodically by two nodes before and three after,
-    so each shifted step is a slice of them. The terms are formed in place,
-    in the formula's order of operations, with at most three grids besides S
-    and the result alive at once.
+    centered stencil (8(S1 - S-1) - (S2 - S-2)) / (12 dx).
     """
-    grad = np.empty((S.ndim,) + S.shape)
-    for axis, g in enumerate(grad):
-        n = S.shape[axis]
-
-        def nodes(a, start, stop):
-            return a[(slice(None),) * axis + (slice(start, stop),)]
-
-        padded = np.concatenate((nodes(S, n - 2, n), S, nodes(S, 0, 3)), axis=axis)
-        step = np.diff(padded, axis=axis)  # the step from node i is at i + 2
-        del padded
-        wraps = np.divide(step, period)    # as _wrap_centered, in place
-        wraps -= 0.5
-        np.ceil(wraps, out=wraps)
-        wraps *= period
-        step -= wraps
-        del wraps
-        d_minus = np.negative(nodes(step, 1, n + 1))    # d_minus1
-        np.subtract(nodes(step, 2, n + 2), d_minus, out=g)
-        g *= 8
-        d_minus -= nodes(step, 0, n)                     # d_minus2
-        d_plus2 = np.add(nodes(step, 2, n + 2), nodes(step, 3, n + 3))
-        d_plus2 -= d_minus
-        g -= d_plus2
-        g /= 12 * dx
-        del step, d_minus, d_plus2
-    return grad
+    grads = []
+    for axis in range(S.ndim):
+        d_plus1 = _wrap_centered(np.roll(S, -1, axis=axis) - S, period)
+        d_plus2 = d_plus1 + np.roll(d_plus1, -1, axis=axis)
+        d_minus1 = -np.roll(d_plus1, 1, axis=axis)
+        d_minus2 = d_minus1 - np.roll(d_plus1, 2, axis=axis)
+        grads.append((8 * (d_plus1 - d_minus1) - (d_plus2 - d_minus2)) / (12 * dx))
+    return np.stack(grads)
 
 
 def decompose(grid):
@@ -226,23 +200,9 @@ def synthetic_fields(R, S, dx, phase_period=2 * math.pi):
 
 
 def _spectral_laplacian(field, dx):
-    """Laplacian of a real periodic grid by real FFTs."""
-    kx, ky = _half_wavenumbers(field.shape[0], dx)
-    return np.fft.irfft2(-(kx**2 + ky**2) * np.fft.rfft2(field), s=field.shape)
-
-
-def _spectral_divergence(fx, fy, dx):
-    """d(fx)/dx + d(fy)/dy of real periodic grids by real FFTs.
-
-    The x Nyquist row is zeroed, as taking the real part of the full complex
-    transform does implicitly (the Nyquist wavenumber is its own negative,
-    and i kx is odd); irfft2 drops the y Nyquist column by itself.
-    """
-    n = fx.shape[0]
-    kx, ky = _half_wavenumbers(n, dx)
-    kx[n // 2] = 0.0
-    spectrum = 1j * (kx * np.fft.rfft2(fx) + ky * np.fft.rfft2(fy))
-    return np.fft.irfft2(spectrum, s=fx.shape)
+    """Laplacian of a periodic grid by one complex FFT pair; complex-valued."""
+    k2 = _wavenumbers(field.shape[0], dx) ** 2
+    return np.fft.ifft2(-(k2[:, None] + k2[None, :]) * np.fft.fft2(field))
 
 
 def quantum_potential(fields):
@@ -251,7 +211,7 @@ def quantum_potential(fields):
     `q[~fields.node_mask]`."""
     if bool(fields.node_mask.all()):
         raise ValueError("no off-mask region: field is zero everywhere")
-    lap = _spectral_laplacian(fields.R, fields.dx)
+    lap = _spectral_laplacian(fields.R, fields.dx).real
     q = -0.5 * lap / np.where(fields.node_mask, 1.0, fields.R)
     q[fields.node_mask] = 0.0
     return q
@@ -331,9 +291,11 @@ def circulation(fields, loop):
 
 
 def continuity_residual(grid_minus, grid_center, grid_plus, dt):
-    """Relative size of d(rho)/dt + div(rho v) for an evolved triple.
+    """Relative size of d(rho)/dt + div(j) for an evolved triple.
 
-    Time derivative is centered over 2*dt; the flux divergence is spectral.
+    The time derivative is centered over 2*dt. The current j = Im(psi* grad
+    psi) is taken from grid_center's psi by div j = Im(psi* lap psi), with a
+    spectral Laplacian, so a node needs no special case.
     Returns RMS(residual) / max over the grid of either term's magnitude.
     The three grids must share n and dx.
     """
@@ -343,9 +305,7 @@ def continuity_residual(grid_minus, grid_center, grid_plus, dt):
             raise ValueError(f"{name} must be on grid_center's grid (n = {grid_center.n}, "
                              f"dx = {grid_center.dx!r}); got n = {g.n}, dx = {g.dx!r}")
     rho_dot = (np.abs(grid_plus.psi) ** 2 - np.abs(grid_minus.psi) ** 2) / (2 * dt)
-    f = decompose(grid_center)
-    flux = np.where(f.node_mask, 0.0, f.v) * f.density()
-    div = _spectral_divergence(flux[0], flux[1], grid_center.dx)
+    psi = grid_center.psi
+    div = (np.conj(psi) * _spectral_laplacian(psi, grid_center.dx)).imag
     scale = max(float(np.max(np.abs(rho_dot))), float(np.max(np.abs(div))))
     return float(np.sqrt(np.mean((rho_dot + div) ** 2))) / scale
-

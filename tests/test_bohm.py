@@ -212,7 +212,7 @@ class TestQuantumPotential:
         assert type(q) is np.ndarray
         assert f.node_mask.any() and not q[f.node_mask].any()
         # the off-node sites hold -lap(R)/(2R) from the full-grid Laplacian
-        lap = bohm._spectral_laplacian(f.R, f.dx)
+        lap = bohm._spectral_laplacian(f.R, f.dx).real
         off = ~f.node_mask
         assert np.array_equal(q[off], -0.5 * lap[off] / f.R[off])
 
@@ -234,43 +234,17 @@ class TestQuantumPotential:
         assert q[128, 128] == pytest.approx(1 / (2 * sigma**2), rel=0.01)
 
 
-def complex_fft_derivatives(field, dx):
-    """Reference: (Laplacian, d/dx, d/dy) of a real periodic grid as the real
-    part of full complex FFT pairs."""
-    k = 2 * np.pi * np.fft.fftfreq(field.shape[0], d=dx)
-    KX, KY = np.meshgrid(k, k, indexing="ij")
-    spectrum = np.fft.fft2(field)
-    return tuple(np.real(np.fft.ifft2(factor * spectrum))
-                 for factor in (-(KX**2 + KY**2), 1j * KX, 1j * KY))
-
-
-class TestRealTransforms:
-    def real_fields(self, n):
-        rng = np.random.default_rng(n)
-        g = bohm.gaussian_state(n, 40.0 / n, sigma=1.5, k=(1.0, 0.5))
-        f = bohm.decompose(g)
-        # smooth fluxes as the continuity check sees them, and white noise,
-        # which fills the Nyquist row and column
-        return [(f.R, f.R * f.v[0], f.R * f.v[1]),
-                tuple(rng.standard_normal((3, n, n)))]
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_laplacian_matches_complex_fft(self, n):
-        dx = 40.0 / n
-        for field, _, _ in self.real_fields(n):
-            ref, _, _ = complex_fft_derivatives(field, dx)
-            lap = bohm._spectral_laplacian(field, dx)
-            assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_divergence_matches_complex_fft(self, n):
-        dx = 40.0 / n
-        for _, fx, fy in self.real_fields(n):
-            _, dfx, _ = complex_fft_derivatives(fx, dx)
-            _, _, dfy = complex_fft_derivatives(fy, dx)
-            div = bohm._spectral_divergence(fx, fy, dx)
-            scale = max(np.max(np.abs(dfx)), np.max(np.abs(dfy)))
-            assert np.max(np.abs(div - (dfx + dfy))) <= 1e-12 * scale
+class TestSpectralLaplacian:
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_gaussian_closed_form(self, n):
+        # oracle: lap exp(-r^2/(2 s^2)) = (r^2/s^4 - 2/s^2) exp(-r^2/(2 s^2))
+        dx, s = 40.0 / n, 2.0
+        x = bohm.centered_axis(n, dx)
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        G = np.exp(-r2 / (2 * s**2))
+        ref = (r2 / s**4 - 2 / s**2) * G
+        lap = bohm._spectral_laplacian(G, dx)
+        assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestCirculation:
@@ -377,40 +351,19 @@ class TestContinuity:
         after = bohm.evolve(g, dt, 401)
         assert bohm.continuity_residual(before, mid, after, dt) <= 1e-3
 
-
-def stacked_wrapped_gradient(S, dx, period):
-    """Reference: the per-axis list-and-stack form of `_wrapped_gradient`."""
-    grads = []
-    for axis in (0, 1):
-        step = bohm._wrap_centered(np.roll(S, -1, axis=axis) - S, period)
-        d_plus1 = step
-        d_plus2 = step + np.roll(step, -1, axis=axis)
-        d_minus1 = -np.roll(step, 1, axis=axis)
-        d_minus2 = d_minus1 - np.roll(step, 2, axis=axis)
-        grads.append((8 * (d_plus1 - d_minus1) - (d_plus2 - d_minus2)) / (12 * dx))
-    return np.stack(grads)
-
-
-class TestInPlaceBitIdentity:
-    """The in-place kernels repeat the reference forms' floating-point
-    operations in the same order, so they agree bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def triple(self):
-        g = bohm.gaussian_state(256, 40.0 / 256, sigma=1.5, k=(1.0, 0.5))
-        return [bohm.evolve(g, 5e-4, steps) for steps in (399, 400, 401)]
-
-    @pytest.mark.parametrize("period", [2 * math.pi, math.pi])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_wrapped_gradient_on_random_phases(self, period, seed):
-        rng = np.random.default_rng(seed)
-        S = rng.uniform(-period / 2, period / 2, (128, 128))
-        assert np.array_equal(bohm._wrapped_gradient(S, 0.07, period),
-                              stacked_wrapped_gradient(S, 0.07, period))
-
-    def test_wrapped_gradient_on_evolved_state(self, triple):
-        f = bohm.decompose(triple[1])
-        assert np.array_equal(f.v, stacked_wrapped_gradient(f.S, f.dx, 2 * math.pi))
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_evolving_vortex_has_no_false_residual(self, n, ell):
+        # the Laguerre-Gauss packet (x + iy)^ell exp(-r^2/(4 sigma^2)) carries
+        # a node in free motion, where the phase gradient is singular; the
+        # current Im(psi* grad psi) is smooth there, so continuity holds to
+        # the time stencil's error
+        dx, dt = 40.0 / n, 5e-4
+        x = bohm.centered_axis(n, dx)
+        z = x[:, None] + 1j * x[None, :]
+        g = bohm.WaveGrid2D(z**ell * np.exp(-np.abs(z) ** 2 / (4 * 1.5**2)), dx)
+        triple = [bohm.evolve(g, dt, steps) for steps in (399, 400, 401)]
+        assert bohm.continuity_residual(*triple, dt) <= 1e-8
 
 
 GRIDS = [128, 256, 512, 1024]
@@ -445,7 +398,7 @@ class TestVortexFields:
     """bohm-vortex builds its vortex from the real R and S; the oracle is the
     Madelung split of the complex vortex state."""
 
-    @pytest.mark.parametrize("n", [128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("n", GRIDS)
     @pytest.mark.parametrize("dx", [0.1, 0.37])
     def test_matches_decomposed_vortex_state(self, n, dx):
         ref = bohm.decompose(bohm.vortex_state(n, dx, core_radius=2 * dx))
@@ -479,7 +432,7 @@ class TestVortexFields:
         psi = np.tanh(np.hypot(X, Y) / (2 * dx)) * np.exp(1j * np.arctan2(Y, X))
         assert np.array_equal(bohm.vortex_state(n, dx, core_radius=2 * dx).psi, psi)
 
-    @pytest.mark.parametrize("n", [*GRIDS, 2048])
+    @pytest.mark.parametrize("n", GRIDS)
     @pytest.mark.parametrize("dx", [0.1, 0.37])
     def test_box_velocity_profile_matches_full_grid(self, n, dx):
         # the stage builds the vortex on two fixed boxes about its axis and

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmbh_lab import cli, dirac, experiments
-from qmbh_lab.constants import BUILTIN_PARTICLES, CGS, RatioCheck
+from qmbh_lab.constants import BUILTIN_PARTICLES, CGS
 
 REGISTERED_IDS = [
     "constants-report", "bohm-vortex", "ring-model", "hopping-dispersion",
